@@ -1,7 +1,7 @@
 package repro.catalyst
 
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.catalyst.{FunctionIdentifier, InternalRow}
 import org.apache.spark.sql.catalyst.expressions.{BinaryExpression, Expression, QuaternaryExpression}
 import org.apache.spark.sql.catalyst.expressions.codegen.CodegenFallback
 import org.apache.spark.sql.catalyst.util.ArrayData
@@ -125,20 +125,23 @@ case class HeadingDiffExpr(left: Expression, right: Expression)
 }
 
 /** Registers the spatial functions and the prefilter optimizer rule on a
-  * session (idempotent) — the paper's "spatial index" role in the
-  * metadata store, realized through Catalyst extension points.
+  * session, once: a session that already has them keeps them — the
+  * paper's "spatial index" role in the metadata store, realized through
+  * Catalyst extension points.
   */
 object SpatialFunctions {
+  private val builders: Seq[(String, Seq[Expression] => Expression)] = Seq(
+    "st_contains"       -> (e => StContains(e(0), e(1), e(2), e(3))),
+    "st_contains_exact" -> (e => StContainsExact(e(0), e(1), e(2), e(3))),
+    "st_distance"       -> (e => StDistance(e(0), e(1), e(2), e(3))),
+    "heading_diff"      -> (e => HeadingDiffExpr(e(0), e(1))))
+
   def register(spark: SparkSession): Unit = synchronized {
     val reg = spark.sessionState.functionRegistry
-    reg.createOrReplaceTempFunction("st_contains",
-      exprs => StContains(exprs(0), exprs(1), exprs(2), exprs(3)), "scala_udf")
-    reg.createOrReplaceTempFunction("st_contains_exact",
-      exprs => StContainsExact(exprs(0), exprs(1), exprs(2), exprs(3)), "scala_udf")
-    reg.createOrReplaceTempFunction("st_distance",
-      exprs => StDistance(exprs(0), exprs(1), exprs(2), exprs(3)), "scala_udf")
-    reg.createOrReplaceTempFunction("heading_diff",
-      exprs => HeadingDiffExpr(exprs(0), exprs(1)), "scala_udf")
+    builders.foreach { case (name, build) =>
+      if (!reg.functionExists(FunctionIdentifier(name)))
+        reg.createOrReplaceTempFunction(name, build, "scala_udf")
+    }
     if (!spark.experimental.extraOptimizations.contains(SpatialPrefilterRule))
       spark.experimental.extraOptimizations =
         spark.experimental.extraOptimizations :+ SpatialPrefilterRule

@@ -1,12 +1,8 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.geom.{CameraModel, Heading, Vec2}
 import repro.video.Det3dRow
-import repro.world.{FrameRow, RoadNetwork, RoadSegment}
-
-/** A frame selected by the Exit Frame Sampler for the tracker to process. */
-final case class SampledFrame(sceneId: Long, frameIdx: Int)
+import repro.world.{FrameRow, RoadSegment}
 
 /** Exit Frame Sampler (§6.4): between the 3D estimator and the tracker,
   * sample only the frames where a `sampleEvent` may occur —
@@ -111,24 +107,5 @@ object ExitFrameSampler {
       i = next
     }
     out.result()
-  }
-
-  /** Scene-parallel sampling over DataFrames. Returns (sceneId, frameIdx)
-    * rows of sampled frames.
-    */
-  def sample(spark: SparkSession, frames: DataFrame, dets3d: DataFrame, net: RoadNetwork,
-             fps: Double, maxSkip: Int = DefaultMaxSkip): DataFrame = {
-    import spark.implicits._
-    val lanes         = net.segments.filter(s => s.heading.isDefined).toArray
-    val intersections = net.ofType("intersection").toArray
-    frames.as[FrameRow]
-      .groupByKey(_.sceneId)
-      .cogroup(dets3d.as[Det3dRow].groupByKey(_.sceneId)) { (sid, fIt, dIt) =>
-        val frs     = fIt.toVector.sortBy(_.frameIdx)
-        val byFrame = dIt.toVector.groupBy(_.frameIdx): Map[Int, Seq[Det3dRow]]
-        sampleScene(frs, byFrame, lanes, intersections, fps, maxSkip)
-          .iterator.map(f => SampledFrame(sid, f))
-      }
-      .toDF()
   }
 }

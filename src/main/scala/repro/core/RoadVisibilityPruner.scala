@@ -1,8 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.geom.CameraModel
-import repro.world.{FrameRow, RoadNetwork, RoadSegment}
+import repro.world.{FrameRow, RoadSegment}
 
 /** Road Visibility Pruner (§6.1): drop video frames whose camera view —
   * the frustum pyramid at distance d projected onto the ground plane as a
@@ -23,19 +22,10 @@ object RoadVisibilityPruner {
     polys.exists(_.polygon.overlapsConvex(hull))
   }
 
-  /** Keep only frames where, for EVERY (constructType, distance) target,
-    * some construct of that type is visible (conjunctive `contains`
-    * semantics, §6.1.2 last step).
+  /** Keep a frame only when, for EVERY (construct polygons, distance)
+    * target, some construct is visible (conjunctive `contains` semantics,
+    * §6.1.2 last step).
     */
-  def prune(spark: SparkSession, frames: DataFrame, net: RoadNetwork,
-            targets: Seq[(String, Double)]): DataFrame = {
-    if (targets.isEmpty) return frames
-    import spark.implicits._
-    // One polygon set per target type; small enough for task closures.
-    val targetPolys: Seq[(Array[RoadSegment], Double)] =
-      targets.map { case (t, d) => (net.ofType(t).toArray, d) }
-    frames.as[FrameRow]
-      .filter { fr => targetPolys.forall { case (polys, d) => frameVisible(fr, polys, d) } }
-      .toDF()
-  }
+  def keep(frame: FrameRow, targets: Seq[(Array[RoadSegment], Double)]): Boolean =
+    targets.forall { case (polys, dist) => frameVisible(frame, polys, dist) }
 }

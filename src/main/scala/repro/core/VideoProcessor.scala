@@ -1,12 +1,14 @@
 package repro.core
 
+import scala.reflect.ClassTag
+
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.functions.col
 import repro.sflow.Query
-import repro.track.SortTracker
-import repro.video.{CostModel, Estimators, RunStats, SimDetector}
-import repro.world.RoadNetwork
+import repro.track.{SortTracker, TrackedRow}
+import repro.video.{Estimators, RunStats, SimDetector}
+import repro.world.{FrameRow, GtStateRow, RoadNetwork, RoadSegment}
 
 /** Which optimization operators the plan enables (the §7.2 ablation knobs:
   * SB = none, S6 = all).
@@ -25,101 +27,122 @@ object PlanConfig {
 final case class ProcessResult(objs: DataFrame,
                                tracked: Option[DataFrame],
                                keptFrames: DataFrame,
-                               sampledFrames: Option[DataFrame],
                                stats: RunStats)
 
-/** The Video Processor stage (§5.2.2): builds the streaming-operator plan
+/** The Video Processor stage (§5.2.2): the streaming-operator plan
   * Decode → [RVP] → Detect → [OTP] → 3D-Estimate → [EFS] → Track, keeping
   * only the operators the filter predicate requires (e.g. detection-only
-  * queries never run the tracker), and instruments every stage for the
-  * cost model.
+  * queries never run the tracker), and counting every operator's units
+  * for the cost model.
+  *
+  * Every scene is independent, so the plan runs as one pass per scene:
+  * frames and latent states are cogrouped by scene once, and one task
+  * streams each scene's frames in order through the operators.
   */
 object VideoProcessor {
 
+  /** One scene's share of a run: the frames RVP kept, the output rows and
+    * the scene's unit counts. `rows` are the tracker's output when it ran;
+    * otherwise each detection stands alone, with its `did` as `trackId`.
+    */
+  private final case class SceneOut(sceneId: Long, keptFrames: Vector[Int], rows: Vector[TrackedRow],
+                                    stats: RunStats)
+
+  /** The plan's operators, resolved once per run and shipped to the
+    * scene tasks.
+    */
+  private final case class ScenePlan(rvpTargets: Option[Seq[(Array[RoadSegment], Double)]],
+                                     types: Option[Set[String]],
+                                     efs: Option[(Array[RoadSegment], Array[RoadSegment], Double)],
+                                     flags: RunStats)
+
   def run(spark: SparkSession, frames: DataFrame, gtStates: DataFrame, net: RoadNetwork,
           query: Query, config: PlanConfig, fps: Double): ProcessResult = {
+    import spark.implicits._
     val req = query.requirements
 
-    val framesTotal = frames.count()
+    val rvpApplied  = config.rvp && req.rvpTargets.nonEmpty
+    val otpApplied  = config.otp && req.typesOfInterest.isDefined
+    val geomApplied = config.geom3d && req.geomApplicable
+    val efsApplied  = config.efs && req.efsApplicable
+    val flags = RunStats(0, 0, 0, 0, 0, 0, 0, 0, 0, trackerRan = req.needsTracking,
+                         rvpApplied = rvpApplied, otpApplied = otpApplied,
+                         geomApplied = geomApplied, efsApplied = efsApplied)
+    val plan = ScenePlan(
+      rvpTargets = Option.when(rvpApplied)(
+        req.rvpTargets.map { case (t, d) => (net.ofType(t).toArray, d) }),
+      types = req.typesOfInterest.filter(_ => otpApplied),
+      efs = Option.when(efsApplied)(
+        (net.segments.filter(_.heading.isDefined).toArray, net.ofType("intersection").toArray, fps)),
+      flags = flags)
 
+    val scenes = byScene(frames, gtStates)(processScene(_, _, _, plan)).persist()
+    val stats  = scenes.map(_.stats).collect().foldLeft(flags)(_ + _)
+
+    val rows = scenes.flatMap(_.rows).toDF()
+    val objs = rows.select(col("sceneId"), col("frameIdx"), col("trackId").as("oid"),
+                           col("otype"), col("estX").as("x"), col("estY").as("y"))
+    val keptFrames = scenes.flatMap(s => s.keptFrames.map(f => (s.sceneId, f))).toDF("sceneId", "frameIdx")
+    ProcessResult(objs, Option.when(req.needsTracking)(rows), keptFrames, stats)
+  }
+
+  /** Cogroup frames and latent states by scene, and make one row per scene
+    * with `f` over the scene's frames in frameIdx order and its states by
+    * frameIdx. A scene that repeats a frameIdx (its video was added twice)
+    * fails the job.
+    */
+  def byScene[T: ClassTag](frames: DataFrame, gtStates: DataFrame)(
+      f: (Long, Vector[FrameRow], Map[Int, Vector[GtStateRow]]) => T): RDD[T] = {
+    val spark = frames.sparkSession
+    import spark.implicits._
+    frames.as[FrameRow].rdd.keyBy(_.sceneId)
+      .cogroup(gtStates.as[GtStateRow].rdd.keyBy(_.sceneId), spark.sparkContext.defaultParallelism)
+      .map { case (sid, (fIt, sIt)) =>
+        val fs = fIt.toVector.sortBy(_.frameIdx)
+        require(fs.map(_.frameIdx).distinct.size == fs.size,
+                s"scene $sid repeats a frameIdx; was its video added twice?")
+        f(sid, fs, sIt.toVector.groupBy(_.frameIdx))
+      }
+  }
+
+  /** Run the plan over one scene's frames and latent states. */
+  private def processScene(sceneId: Long, frames: Vector[FrameRow],
+                           states: Map[Int, Vector[GtStateRow]], plan: ScenePlan): SceneOut = {
     // Road Visibility Pruner — placed right after the decoder (§6.1).
-    val rvpApplied = config.rvp && req.rvpTargets.nonEmpty
-    val kept =
-      (if (rvpApplied) RoadVisibilityPruner.prune(spark, frames, net, req.rvpTargets)
-       else frames).persist()
-    val framesAfterRvp = kept.count()
-
+    val kept = plan.rvpTargets.fold(frames)(t => frames.filter(RoadVisibilityPruner.keep(_, t)))
     // Object detector.
-    val dets       = SimDetector.detect(spark, kept, gtStates).persist()
-    val detections = dets.count()
-
-    // Object Type Pruner — right after the detector (§6.2).
-    val otpApplied = config.otp && req.typesOfInterest.isDefined
-    val detsTyped =
-      (if (otpApplied) ObjectTypePruner.prune(dets, req.typesOfInterest.get) else dets).persist()
-    val detsAfterOtp = detsTyped.count()
-
+    val dets = kept.flatMap(fr => states.getOrElse(fr.frameIdx, Nil).flatMap(SimDetector.detectOne(fr, _)))
+    // Object Type Pruner — right after the detector (§6.2): the Hungarian
+    // association cost scales with the number of objects per frame.
+    val typed = plan.types.fold(dets)(ts => dets.filter(d => ts.contains(d.otype)))
     // 3D location estimation (§6.3): geometry when every type of interest
     // touches the ground, the ML depth model otherwise.
-    val geomApplied = config.geom3d && req.geomApplicable
-    val dets3d =
-      (if (geomApplied) Estimators.geometry(spark, detsTyped)
-       else Estimators.ml(spark, detsTyped)).persist()
-    val geomDets = if (geomApplied) dets3d.filter(col("method") === "geom").count() else 0L
-    val depthFrames =
-      if (geomApplied)
-        dets3d.filter(col("method") === "geom_fallback")
-          .select("sceneId", "frameIdx").distinct().count()
-      else dets3d.select("sceneId", "frameIdx").distinct().count()
+    val geom   = plan.flags.geomApplied
+    val dets3d = typed.map(d => if (geom) Estimators.geomOne(d) else Estimators.mlOne(d))
+    val depthDets = if (geom) dets3d.filter(_.method == "geom_fallback") else dets3d
 
     // Exit Frame Sampler (§6.4): restrict the tracker to sampled frames.
-    val efsApplied = config.efs && req.efsApplicable
-    val sampled =
-      if (efsApplied) Some(ExitFrameSampler.sample(spark, kept, dets3d, net, fps).persist())
-      else None
-    val trackerInput =
-      sampled.fold(dets3d)(s => dets3d.join(s, Seq("sceneId", "frameIdx"))).persist()
-
-    // Object tracker — only when the predicate needs trajectories.
-    val trackerRan = req.needsTracking
-    val (tracked, trackerFrames, trackerDets, trackerPairOps) =
-      if (trackerRan) {
-        val t = new SortTracker().track(spark, trackerInput).persist()
-        t.count()
-        val perFrame = trackerInput.groupBy("sceneId", "frameIdx").agg(count("*").as("n"))
-        val w        = Window.partitionBy("sceneId").orderBy("frameIdx")
-        val pairRow = perFrame
-          .withColumn("prev", lag("n", 1).over(w))
-          .agg(sum(col("n") * coalesce(col("prev"), lit(0L))).as("pairs"),
-               count("*").as("frames"), sum("n").as("dets"))
-          .collect()(0)
-        (Some(t),
-         if (pairRow.isNullAt(1)) 0L else pairRow.getLong(1),
-         if (pairRow.isNullAt(2)) 0L else pairRow.getLong(2),
-         if (pairRow.isNullAt(0)) 0L else pairRow.getLong(0))
-      } else (None, 0L, 0L, 0L)
-
-    // Standard Movable-Objects sample schema for the query engine. When
-    // tracking ran, oid is the track id (headings/speeds derivable);
-    // otherwise each detection stands alone.
-    val objs = tracked match {
-      case Some(t) =>
-        t.select(col("sceneId"), col("frameIdx"), col("trackId").as("oid"),
-                 col("otype"), col("estX").as("x"), col("estY").as("y"))
-      case None =>
-        dets3d.select(col("sceneId"), col("frameIdx"), col("did").as("oid"),
-                      col("otype"), col("estX").as("x"), col("estY").as("y"))
+    val trackerInput = plan.efs.fold(dets3d) { case (lanes, inters, fps) =>
+      val sampled = ExitFrameSampler.sampleScene(kept, dets3d.groupBy(_.frameIdx), lanes, inters, fps).toSet
+      dets3d.filter(d => sampled.contains(d.frameIdx))
     }
 
-    val stats = RunStats(
-      framesTotal = framesTotal, framesAfterRvp = framesAfterRvp,
-      detections = detections, detsAfterOtp = detsAfterOtp,
-      depthFrames = depthFrames, geomDets = geomDets,
-      trackerFrames = trackerFrames, trackerDets = trackerDets,
-      trackerPairOps = trackerPairOps, trackerRan = trackerRan,
-      rvpApplied = rvpApplied, otpApplied = otpApplied,
-      geomApplied = geomApplied, efsApplied = efsApplied)
+    // Object tracker — only when the predicate needs trajectories. Its
+    // pair cost counts n_t·n_{t−1} over consecutive frames with detections.
+    val (rows, perFrame) =
+      if (plan.flags.trackerRan) {
+        val n = trackerInput.groupBy(_.frameIdx).toVector.sortBy(_._1).map(_._2.size.toLong)
+        (new SortTracker().trackScene(trackerInput), n)
+      } else
+        (dets3d.map(d => TrackedRow(d.sceneId, d.frameIdx, d.did, d.did, d.oid, d.otype, d.estX, d.estY)),
+         Vector.empty)
 
-    ProcessResult(objs, tracked, kept.select("sceneId", "frameIdx"), sampled, stats)
+    SceneOut(sceneId, kept.map(_.frameIdx), rows, plan.flags.copy(
+      framesTotal = frames.size, framesAfterRvp = kept.size,
+      detections = dets.size, detsAfterOtp = typed.size,
+      depthFrames = depthDets.map(_.frameIdx).distinct.size,
+      geomDets = if (geom) dets3d.count(_.method == "geom") else 0,
+      trackerFrames = perFrame.size, trackerDets = perFrame.sum,
+      trackerPairOps = perFrame.zip(perFrame.drop(1)).map { case (a, b) => a * b }.sum))
   }
 }

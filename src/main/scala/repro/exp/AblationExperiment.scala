@@ -41,11 +41,11 @@ object AblationExperiment {
         (name, VideoProcessor.run(spark, ds.frames, ds.gtStates, ds.net, q, cfg, ds.fps))
       }
       val sbRes   = results.find(_._1 == "SB").get._2
-      val sbMs    = CostModel.videoProcessingMs(sbRes.stats)
+      val sbMs    = CostModel.videoMs(sbRes.stats)
       val sbTracks = sbRes.tracked
 
       results.map { case (name, res) =>
-        val ms = CostModel.videoProcessingMs(res.stats)
+        val ms = CostModel.videoMs(res.stats)
         val assa = (sbTracks, res.tracked) match {
           case (Some(gt), Some(pr)) if name != "SB" =>
             // Evaluation universe: SB tracks on frames this setup kept

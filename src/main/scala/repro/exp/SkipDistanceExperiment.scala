@@ -1,10 +1,10 @@
 package repro.exp
 
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.functions.col
-import repro.core.ExitFrameSampler
+import repro.core.{ExitFrameSampler, VideoProcessor}
 import repro.track.{Metrics, SortTracker, TrackedRow}
 import repro.video.{CostModel, Estimators, SimDetector}
+import repro.world.{FrameRow, GtStateRow, RoadSegment}
 
 /** One skip-distance bucket of the §6.4.3 study (Fig. 4c). */
 final case class SkipRow(skip: Int, gaps: Long, f1: Double, runtimeRatio: Double)
@@ -16,59 +16,54 @@ final case class SkipRow(skip: Int, gaps: Long, f1: Double, runtimeRatio: Double
   */
 object SkipDistanceExperiment {
 
+  /** One sampled gap of one scene: its association outcome and the
+    * modelled tracker+sampler runtime with and without the sampler.
+    */
+  private final case class SkipGap(skip: Int, tp: Long, fp: Long, fn: Long,
+                                   withMs: Double, withoutMs: Double)
+
   def run(spark: SparkSession, ds: Dataset, maxSkip: Int = 20): Seq[SkipRow] = {
-    import spark.implicits._
+    val lanes  = ds.net.segments.filter(_.heading.isDefined).toArray
+    val inters = ds.net.ofType("intersection").toArray
+    val fps    = ds.fps
+    val gapsByScene = VideoProcessor.byScene(ds.frames, ds.gtStates) { (sid, frames, states) =>
+      sid -> sceneGaps(frames, states, lanes, inters, fps, maxSkip)
+    }.collect().toMap
 
-    val dets   = SimDetector.detect(spark, ds.frames, ds.gtStates)
-    val cars   = dets.filter(col("otype").isin("car", "truck")).persist()
-    val dets3d = Estimators.geometry(spark, cars).persist()
-
-    val sampled = ExitFrameSampler.sample(spark, ds.frames, dets3d, ds.net, ds.fps, maxSkip)
-
-    val tracker  = new SortTracker()
-    val gtTracks = tracker.track(spark, dets3d)
-    val prTracks = tracker.track(spark, dets3d.join(sampled, Seq("sceneId", "frameIdx")))
-
-    def byScene(rows: Seq[TrackedRow]): Map[Long, Map[Int, Map[Long, Long]]] =
-      rows.groupBy(_.sceneId).view.mapValues {
-        _.groupBy(_.frameIdx).view.mapValues(_.map(r => r.oid -> r.trackId).toMap).toMap
-      }.toMap
-
-    val gtByScene = byScene(gtTracks.as[TrackedRow].collect().toSeq)
-    val prByScene = byScene(prTracks.as[TrackedRow].collect().toSeq)
-    val sampledByScene = sampled.as[repro.core.SampledFrame].collect()
-      .groupBy(_.sceneId).view.mapValues(_.map(_.frameIdx).sorted.toSeq).toMap
-    val detCounts = dets3d.groupBy("sceneId", "frameIdx").count().collect()
-      .map(r => (r.getLong(0), r.getInt(1)) -> r.getLong(2)).toMap
-
-    final case class Acc(var tp: Long = 0, var fp: Long = 0, var fn: Long = 0,
-                         var gaps: Long = 0, var withMs: Double = 0, var withoutMs: Double = 0)
-    val acc = scala.collection.mutable.Map.empty[Int, Acc]
-
-    sampledByScene.foreach { case (sid, frames) =>
-      val gt = gtByScene.getOrElse(sid, Map.empty)
-      val pr = prByScene.getOrElse(sid, Map.empty)
-      Metrics.gapOutcomes(gt, pr, frames).foreach { case (skip, tp, fp, fn) =>
-        val a = acc.getOrElseUpdate(skip, Acc())
-        a.tp += tp; a.fp += fp; a.fn += fn; a.gaps += 1
-      }
-      def trackCostMs(f: Int): Double = {
-        val n = detCounts.getOrElse((sid, f), 0L).toDouble
-        CostModel.TrackerFrameMs + CostModel.TrackerDetMs * n + CostModel.TrackerPairMs * n * n
-      }
-      frames.sorted.sliding(2).foreach {
-        case Seq(f0, f1) if f1 > f0 =>
-          val skip = f1 - f0 - 1
-          val a    = acc.getOrElseUpdate(skip, Acc())
-          a.withMs += CostModel.EfsPerFrameMs * (f1 - f0) + trackCostMs(f1)
-          a.withoutMs += (f0 + 1 to f1).map(trackCostMs).sum
-        case _ =>
-      }
+    gapsByScene.values.flatten.groupBy(_.skip).toSeq.sortBy(_._1).map { case (skip, gs) =>
+      val f1 = Metrics.SkipStats(skip, gs.map(_.tp).sum, gs.map(_.fp).sum, gs.map(_.fn).sum, gs.size).f1
+      val withoutMs = gs.map(_.withoutMs).sum
+      SkipRow(skip, gs.size, f1, if (withoutMs > 0) gs.map(_.withMs).sum / withoutMs else 1.0)
     }
+  }
 
-    acc.toSeq.sortBy(_._1).map { case (skip, a) =>
-      val f1 = if (2 * a.tp + a.fp + a.fn == 0) 1.0 else 2.0 * a.tp / (2.0 * a.tp + a.fp + a.fn)
-      SkipRow(skip, a.gaps, f1, if (a.withoutMs > 0) a.withMs / a.withoutMs else 1.0)
+  /** The sampled gaps of one scene, in frame order. */
+  private def sceneGaps(frames: Vector[FrameRow], states: Map[Int, Vector[GtStateRow]],
+                        lanes: Array[RoadSegment], inters: Array[RoadSegment],
+                        fps: Double, maxSkip: Int): Seq[SkipGap] = {
+    val dets3d = frames
+      .flatMap(fr => states.getOrElse(fr.frameIdx, Nil).flatMap(SimDetector.detectOne(fr, _)))
+      .filter(d => d.otype == "car" || d.otype == "truck")
+      .map(Estimators.geomOne(_))
+    val byFrame = dets3d.groupBy(_.frameIdx)
+    val sampled = ExitFrameSampler.sampleScene(frames, byFrame, lanes, inters, fps, maxSkip)
+    val sampledSet = sampled.toSet
+
+    val tracker = new SortTracker()
+    def byFrameIds(rows: Seq[TrackedRow]): Map[Int, Map[Long, Long]] =
+      rows.groupBy(_.frameIdx).view.mapValues(_.map(r => r.oid -> r.trackId).toMap).toMap
+    val gt = byFrameIds(tracker.trackScene(dets3d))
+    val pr = byFrameIds(tracker.trackScene(dets3d.filter(d => sampledSet.contains(d.frameIdx))))
+
+    def trackCostMs(f: Int): Double = {
+      val n = byFrame.get(f).fold(0.0)(_.size.toDouble)
+      CostModel.TrackerFrameMs + CostModel.TrackerDetMs * n + CostModel.TrackerPairMs * n * n
+    }
+    Metrics.gapOutcomes(gt, pr, sampled).zip(sampled.zip(sampled.drop(1))).map {
+      case ((skip, tp, fp, fn), (f0, f1)) =>
+        SkipGap(skip, tp, fp, fn,
+                withMs = CostModel.EfsPerFrameMs * (f1 - f0) + trackCostMs(f1),
+                withoutMs = (f0 + 1 to f1).map(trackCostMs).sum)
     }
   }
 }

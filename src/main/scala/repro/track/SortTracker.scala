@@ -1,6 +1,5 @@
 package repro.track
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.video.Det3dRow
 
 /** One tracked detection: a Movable Object sample (paper §4.1.3). `oid`
@@ -20,7 +19,7 @@ final case class TrackedRow(sceneId: Long, frameIdx: Int, trackId: Long,
   * scene's detection stream is processed sequentially inside one Spark
   * task (scenes run in parallel across the cluster).
   */
-final class SortTracker(iouGate: Double = 0.05, maxAgeFrames: Int = 30) extends Serializable {
+final class SortTracker(iouGate: Double = 0.05, maxAgeFrames: Int = 30) {
 
   private final case class Track(id: Long, otype: String, var lastFrame: Int,
                                  var x1: Double, var y1: Double, var x2: Double, var y2: Double,
@@ -85,15 +84,5 @@ final class SortTracker(iouGate: Double = 0.05, maxAgeFrames: Int = 30) extends 
       tracks = tracks.filter(t => f - t.lastFrame <= maxAgeFrames)
     }
     out.result()
-  }
-
-  /** Run scene-parallel tracking over a Det3dRow DataFrame. */
-  def track(spark: SparkSession, dets3d: DataFrame): DataFrame = {
-    import spark.implicits._
-    dets3d
-      .as[Det3dRow]
-      .groupByKey(_.sceneId)
-      .flatMapGroups { (_, it) => trackScene(it.toSeq).iterator }
-      .toDF()
   }
 }

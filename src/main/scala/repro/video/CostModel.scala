@@ -23,6 +23,17 @@ final case class RunStats(
     efsApplied: Boolean,
     queryRowsExamined: Long = 0L) {
 
+  /** Unit counts of `this` and `o` summed (e.g. two scenes of one run);
+    * the flags are this run's.
+    */
+  def +(o: RunStats): RunStats = copy(
+    framesTotal = framesTotal + o.framesTotal, framesAfterRvp = framesAfterRvp + o.framesAfterRvp,
+    detections = detections + o.detections, detsAfterOtp = detsAfterOtp + o.detsAfterOtp,
+    depthFrames = depthFrames + o.depthFrames, geomDets = geomDets + o.geomDets,
+    trackerFrames = trackerFrames + o.trackerFrames, trackerDets = trackerDets + o.trackerDets,
+    trackerPairOps = trackerPairOps + o.trackerPairOps,
+    queryRowsExamined = queryRowsExamined + o.queryRowsExamined)
+
   def prunedFrameFraction: Double =
     if (framesTotal == 0) 0.0 else 1.0 - framesAfterRvp.toDouble / framesTotal
 
@@ -107,9 +118,6 @@ object CostModel {
     ms
   }
 
-  /** Video-processor runtime of a Spatialyze plan (§5.2.2 + §6 operators). */
-  def videoProcessingMs(s: RunStats): Double = videoMs(s)
-
   def queryEngineMs(s: RunStats): Double = SqlPerRowMs * s.queryRowsExamined
 
   /** End-to-end workflow runtime (Data Integrator and Output Composer are
@@ -117,8 +125,8 @@ object CostModel {
     */
   def workflowMs(s: RunStats): Double = {
     val videos = math.max(1L, s.framesTotal / 240)
-    videoProcessingMs(s) + queryEngineMs(s) + 200.0 * videos
+    videoMs(s) + queryEngineMs(s) + 200.0 * videos
   }
 
-  def fps(s: RunStats): Double = s.framesTotal / (videoProcessingMs(s) / 1000.0)
+  def fps(s: RunStats): Double = s.framesTotal / (videoMs(s) / 1000.0)
 }

@@ -1,6 +1,6 @@
 package repro.video
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.geom._
 
 /** A detection with an estimated 3D (ground-plane) location.
@@ -53,10 +53,5 @@ object Estimators {
   def ml(spark: SparkSession, dets: DataFrame, seed: Long = 211): DataFrame = {
     import spark.implicits._
     dets.as[DetRow].map(mlOne(_, seed)).toDF()
-  }
-
-  def geometry(spark: SparkSession, dets: DataFrame, seed: Long = 211): DataFrame = {
-    import spark.implicits._
-    dets.as[DetRow].map(geomOne(_, seed)).toDF()
   }
 }

@@ -1,7 +1,9 @@
 package repro.video
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.functions.col
 import repro.geom._
+import repro.world.{FrameRow, GtStateRow}
 
 /** A 2D object detection with its camera context. `zc`, `gtX`, `gtY` and
   * `oid` are latent ground truth carried for the depth simulator and the
@@ -19,17 +21,6 @@ final case class DetRow(sceneId: Long, frameIdx: Int, did: Long, oid: Long, otyp
   def intrinsics: Intrinsics = Intrinsics(fx, fy, skew, px0, py0, imgW, imgH)
   def bottomCenterX: Double  = (x1 + x2) / 2.0
 }
-
-/** DetRow fields + the ground-truth state fields, the shape of
-  * frames ⋈ gtStates used internally by the detector.
-  */
-private[video] final case class StateFrame(sceneId: Long, frameIdx: Int, ts: Double,
-                                           camX: Double, camY: Double, camZ: Double,
-                                           camYaw: Double, camPitch: Double,
-                                           fx: Double, fy: Double, skew: Double,
-                                           px0: Double, py0: Double, imgW: Int, imgH: Int,
-                                           oid: Long, otype: String,
-                                           x: Double, y: Double, heading: Double, speed: Double)
 
 /** Simulated object detector (stands in for YOLOv5, see DESIGN.md §2).
   *
@@ -52,11 +43,10 @@ object SimDetector {
   private def detectProb(zc: Double): Double =
     if (zc < 40) 0.98 else if (zc < 80) 0.90 else 0.78
 
-  /** Detect one joined (frame, ground-truth state) row. */
-  def detectOne(s: StateFrame, seed: Long): Option[DetRow] = {
-    val pose = CamPose(s.camX, s.camY, s.camZ, s.camYaw, s.camPitch)
-    val it   = Intrinsics(s.fx, s.fy, s.skew, s.px0, s.py0, s.imgW, s.imgH)
-    CameraModel.worldToPixel(pose, it, Vec3(s.x, s.y, 0.0)).flatMap { case (xp0, yp0, zc) =>
+  /** Detect one ground-truth state `s` of frame `fr` (same scene and frame). */
+  def detectOne(fr: FrameRow, s: GtStateRow, seed: Long = 101): Option[DetRow] = {
+    val it = fr.intrinsics
+    CameraModel.worldToPixel(fr.pose, it, Vec3(s.x, s.y, 0.0)).flatMap { case (xp0, yp0, zc) =>
       if (zc < 2.0 || zc > MaxDetectDistance || !CameraModel.inImage(it, xp0, yp0)) None
       else if (Rng.hash01(seed, s.sceneId, s.frameIdx.toLong, s.oid) >= detectProb(zc)) None
       else {
@@ -65,13 +55,13 @@ object SimDetector {
         val jx = (Rng.hash01(seed + 1, s.sceneId, s.frameIdx.toLong, s.oid) - 0.5)
         val jy = (Rng.hash01(seed + 2, s.sceneId, s.frameIdx.toLong, s.oid) - 0.5)
         val xp = xp0 + jx; val yp = yp0 + jy
-        val wpx = s.fx * halfW / zc
-        val hpx = s.fy * objH / zc
+        val wpx = fr.fx * halfW / zc
+        val hpx = fr.fy * objH / zc
         val did = Rng.hashLong(s.sceneId, s.frameIdx.toLong, s.oid)
         Some(DetRow(s.sceneId, s.frameIdx, did, s.oid, s.otype,
                     xp - wpx, yp - hpx, xp + wpx, yp, zc, s.x, s.y,
-                    s.camX, s.camY, s.camZ, s.camYaw, s.camPitch,
-                    s.fx, s.fy, s.skew, s.px0, s.py0, s.imgW, s.imgH))
+                    fr.camX, fr.camY, fr.camZ, fr.camYaw, fr.camPitch,
+                    fr.fx, fr.fy, fr.skew, fr.px0, fr.py0, fr.imgW, fr.imgH))
       }
     }
   }
@@ -82,10 +72,10 @@ object SimDetector {
     */
   def detect(spark: SparkSession, frames: DataFrame, gtStates: DataFrame, seed: Long = 101): DataFrame = {
     import spark.implicits._
-    frames
-      .join(gtStates, Seq("sceneId", "frameIdx"))
-      .as[StateFrame]
-      .flatMap(detectOne(_, seed))
+    val f = frames.as[FrameRow].as("f")
+    val g = gtStates.as[GtStateRow].as("g")
+    f.joinWith(g, col("f.sceneId") === col("g.sceneId") && col("f.frameIdx") === col("g.frameIdx"))
+      .flatMap { case (fr, s) => detectOne(fr, s, seed) }
       .toDF()
   }
 }

@@ -110,6 +110,30 @@ class SpatialExpressionsSpec extends SparkSpec {
     assert(n === 1)
   }
 
+  test("a second query keeps the session's registered functions") {
+    import org.apache.spark.sql.catalyst.FunctionIdentifier
+    import repro.core.QueryEngine
+    import repro.sflow.Queries
+    import repro.world.{RoadNetwork, WorldParams}
+    val reg   = spark.sessionState.functionRegistry
+    val names = Seq("st_contains", "st_contains_exact", "st_distance", "heading_diff")
+    // Builder and expression info together: re-registering replaces both.
+    def registered = names.map { n =>
+      val id = FunctionIdentifier(n)
+      (reg.lookupFunctionBuilder(id).get, reg.lookupFunction(id).get)
+    }
+    val objs  = spark.createDataFrame(Seq((0L, 0, 1L, "car", 0.0, 0.0)))
+      .toDF("sceneId", "frameIdx", "oid", "otype", "x", "y")
+    val cams  = spark.createDataFrame(Seq((0L, 0, 0.0, 0.0, 0.0))).toDF("sceneId", "frameIdx", "x", "y", "heading")
+    val roads = RoadNetwork.grid(WorldParams.nuscenes(nScenes = 1).grid).toDF(spark)
+    QueryEngine.run(spark, Queries.q6, objs, cams, roads, 12.0)
+    val first = registered
+    QueryEngine.run(spark, Queries.q6, objs, cams, roads, 12.0)
+    first.zip(registered).zip(names).foreach { case (((b1, i1), (b2, i2)), n) =>
+      assert((b1 eq b2) && (i1 eq i2), s"$n was registered again")
+    }
+  }
+
   test("Oracle cross-check: the relational layer above the spatial filter matches DuckDB") {
     setupView()
     // Compute the spatial predicate in Spark, then verify the downstream

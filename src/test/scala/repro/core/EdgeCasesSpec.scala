@@ -64,13 +64,32 @@ class EdgeCasesSpec extends SparkSpec {
     assert(req.rvpTargets.isEmpty, "Or-ed contains must not trigger RVP")
   }
 
-  test("a world with zero scenes runs end to end") {
+  test("a scene with no objects runs end to end") {
     val empty = WorldParams.nuscenes(nScenes = 1).copy(nFrames = 1, nObjects = 1)
     val f = WorldGen.frames(spark, empty)
     val g = WorldGen.gtStates(spark, empty).filter("oid < 0") // no objects
     val res = new SpatialyzeWorld(spark, empty.fps).addGeogConstructs(net)
       .addVideo(f, g).filter(Queries.q5.pred).observe(PlanConfig.all, "edge5")
     assert(res.rows.count() === 0L)
+  }
+
+  test("a world with no frames returns no rows and all-zero counts") {
+    val none = new SpatialyzeWorld(spark, p.fps).addGeogConstructs(net)
+      .addVideo(frames.filter("sceneId < 0"), gt.filter("sceneId < 0"))
+      .filter(Queries.q2.pred).observe(PlanConfig.all, "edge-empty")
+    assert(none.rows.count() === 0L)
+    val s = none.stats
+    assert(Seq(s.framesTotal, s.framesAfterRvp, s.detections, s.detsAfterOtp, s.depthFrames,
+               s.geomDets, s.trackerFrames, s.trackerDets, s.trackerPairOps,
+               s.queryRowsExamined).forall(_ == 0L), s"nonzero counts in $s")
+  }
+
+  test("adding the same video twice fails observe() with an error naming the scene") {
+    val twice = world().addVideo(frames, gt).filter(Queries.q5.pred)
+    val e = intercept[Exception](twice.observe(PlanConfig.all, "edge-dup"))
+    val messages = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).map(_.getMessage)
+    assert(messages.exists(m => m != null && m.matches("(?s).*scene [01] repeats a frameIdx.*")),
+           s"unexpected error: $e")
   }
 
   test("a tiny grid road network still supports the pipeline") {

@@ -11,11 +11,23 @@ class ExitFrameSamplerSpec extends SparkSpec {
   private val net = RoadNetwork.grid(p.grid)
   private lazy val frames = WorldGen.frames(spark, p).persist()
   private lazy val gt     = WorldGen.gtStates(spark, p).persist()
-  private lazy val dets3d = Estimators.geometry(spark,
-    ObjectTypePruner.prune(SimDetector.detect(spark, frames, gt), Set("car", "truck"))).persist()
 
   private val lanes  = net.segments.filter(_.heading.isDefined).toArray
   private val inters = net.ofType("intersection").toArray
+
+  /** Sample every scene of the synthetic world in Spark, one task per
+    * scene: vehicle detections located by the geometry estimator.
+    */
+  private def sampleWorld(): Vector[(Long, Vector[Int])] = {
+    val (ls, is, fps) = (lanes, inters, p.fps)
+    VideoProcessor.byScene(frames, gt) { (sid, frs, states) =>
+      val dets3d = frs
+        .flatMap(fr => states.getOrElse(fr.frameIdx, Nil).flatMap(SimDetector.detectOne(fr, _)))
+        .filter(d => d.otype == "car" || d.otype == "truck")
+        .map(Estimators.geomOne(_))
+      sid -> ExitFrameSampler.sampleScene(frs, dets3d.groupBy(_.frameIdx), ls, is, fps)
+    }.collect().toVector.sortBy(_._1)
+  }
 
   // Static camera at the origin looking east; cars are placed ahead of it.
   private def mkFrames(n: Int): Vector[FrameRow] =
@@ -93,9 +105,8 @@ class ExitFrameSamplerSpec extends SparkSpec {
   }
 
   test("on the synthetic world the sampler reduces tracker frames substantially") {
-    val sampled = ExitFrameSampler.sample(spark, frames, dets3d, net, p.fps).persist()
     val nAll     = frames.count()
-    val nSampled = sampled.count()
+    val nSampled = sampleWorld().map(_._2.size).sum
     val frac     = nSampled.toDouble / nAll
     info(f"sampled ${frac * 100}%.1f%% of frames (avg skip ${nAll.toDouble / nSampled - 1}%.1f)")
     assert(frac < 0.8, "sampler should skip a meaningful share of frames")
@@ -103,12 +114,9 @@ class ExitFrameSamplerSpec extends SparkSpec {
   }
 
   test("Spark-side sampling is deterministic and scene-complete") {
-    import spark.implicits._
-    val a = ExitFrameSampler.sample(spark, frames, dets3d, net, p.fps)
-      .as[SampledFrame].collect().sortBy(s => (s.sceneId, s.frameIdx)).toVector
-    val b = ExitFrameSampler.sample(spark, frames, dets3d, net, p.fps)
-      .as[SampledFrame].collect().sortBy(s => (s.sceneId, s.frameIdx)).toVector
-    assert(a === b)
-    assert(a.map(_.sceneId).distinct.size === 3, "every scene must be sampled")
+    val a = sampleWorld()
+    assert(a === sampleWorld())
+    assert(a.map(_._1) === Vector(0L, 1L, 2L), "every scene must be sampled")
+    assert(a.forall(_._2.nonEmpty))
   }
 }

@@ -32,14 +32,12 @@ class VideoProcessorSpec extends SparkSpec {
     assert(r.stats.framesAfterRvp < r.stats.framesTotal, "RVP pruned something")
     assert(r.stats.detsAfterOtp < r.stats.detections, "OTP pruned something")
     assert(r.stats.geomDets > 0)
-    assert(r.sampledFrames.isDefined)
     assert(r.stats.trackerFrames < r.stats.framesAfterRvp, "EFS reduced tracker frames")
   }
 
   test("EFS is not applied for the pedestrian query Q1 even when enabled (§6.4)") {
     val r = run(Queries.q1, PlanConfig.all)
     assert(!r.stats.efsApplied)
-    assert(r.sampledFrames.isEmpty)
     assert(r.stats.rvpApplied && r.stats.otpApplied && r.stats.geomApplied)
   }
 
@@ -63,21 +61,21 @@ class VideoProcessorSpec extends SparkSpec {
   }
 
   test("each optimization alone never increases modeled runtime (S1-S4 vs SB)") {
-    val sb = CostModel.videoProcessingMs(run(Queries.q2, PlanConfig.baseline).stats)
+    val sb = CostModel.videoMs(run(Queries.q2, PlanConfig.baseline).stats)
     val configs = Seq(
       PlanConfig(rvp = true, otp = false, geom3d = false, efs = false),
       PlanConfig(rvp = false, otp = true, geom3d = false, efs = false),
       PlanConfig(rvp = false, otp = false, geom3d = true, efs = false),
       PlanConfig(rvp = false, otp = false, geom3d = false, efs = true))
     configs.foreach { cfg =>
-      val ms = CostModel.videoProcessingMs(run(Queries.q2, cfg).stats)
+      val ms = CostModel.videoMs(run(Queries.q2, cfg).stats)
       assert(ms <= sb * 1.01, s"config $cfg increased runtime: $ms vs $sb")
     }
   }
 
   test("the full plan achieves a healthy speedup on Q2 (paper band 2.5-5.3x)") {
-    val sb = CostModel.videoProcessingMs(run(Queries.q2, PlanConfig.baseline).stats)
-    val s6 = CostModel.videoProcessingMs(run(Queries.q2, PlanConfig.all).stats)
+    val sb = CostModel.videoMs(run(Queries.q2, PlanConfig.baseline).stats)
+    val s6 = CostModel.videoMs(run(Queries.q2, PlanConfig.all).stats)
     val speedup = sb / s6
     info(f"Q2 S6 speedup $speedup%.2f x")
     assert(speedup > 2.0, s"speedup $speedup too small")
@@ -97,6 +95,21 @@ class VideoProcessorSpec extends SparkSpec {
     assert(r.trackerDets <= r.detsAfterOtp)
     assert(r.trackerFrames <= r.framesAfterRvp)
     assert(r.geomDets <= r.detsAfterOtp)
+  }
+
+  test("a run costs at most 3 Spark jobs (SB and S6 on Q1 and Q2)") {
+    val sc = spark.sparkContext
+    for (q <- Seq(Queries.q1, Queries.q2); (name, cfg) <- Seq("SB" -> PlanConfig.baseline, "S6" -> PlanConfig.all)) {
+      val group = s"vp-jobs-${q.name}-$name"
+      sc.setJobGroup(group, group)
+      try run(q, cfg) finally sc.clearJobGroup()
+      // Job-start events reach the status tracker asynchronously.
+      val deadline = System.nanoTime() + 10e9.toLong
+      while (sc.statusTracker.getJobIdsForGroup(group).isEmpty && System.nanoTime() < deadline)
+        Thread.sleep(20)
+      val jobs = sc.statusTracker.getJobIdsForGroup(group).length
+      assert(jobs >= 1 && jobs <= 3, s"${q.name} $name ran $jobs Spark jobs")
+    }
   }
 
   test("plans are deterministic end to end") {

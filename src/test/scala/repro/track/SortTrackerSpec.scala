@@ -2,15 +2,15 @@ package repro.track
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
+import repro.core.{PlanConfig, VideoProcessor}
+import repro.sflow.Queries
 import repro.video.Det3dRow
-import repro.world.{WorldGen, WorldParams}
-import repro.video.{Estimators, SimDetector}
+import repro.world.{RoadNetwork, WorldGen, WorldParams}
 
 class SortTrackerSpec extends SparkSpec {
 
-  private def det(frame: Int, oid: Long, x1: Double, y1: Double, w: Double = 40, h: Double = 30,
-                  scene: Long = 0L): Det3dRow =
-    Det3dRow(scene, frame, did = frame * 1000L + oid, oid = oid, otype = "car",
+  private def det(frame: Int, oid: Long, x1: Double, y1: Double, w: Double = 40, h: Double = 30): Det3dRow =
+    Det3dRow(0L, frame, did = frame * 1000L + oid, oid = oid, otype = "car",
              x1 = x1, y1 = y1, x2 = x1 + w, y2 = y1 + h, zc = 20, gtX = 0, gtY = 0,
              camX = 0, camY = 0, camZ = 1.5, camYaw = 0, camPitch = 0,
              fx = 800, fy = 800, skew = 0, px0 = 800, py0 = 450, imgW = 1600, imgH = 900,
@@ -89,27 +89,30 @@ class SortTrackerSpec extends SparkSpec {
     assert(tracker.trackScene(Seq.empty).isEmpty)
   }
 
-  test("Spark-side tracking partitions by scene") {
+  /** All detections of a 2-scene world, located by the geometry estimator
+    * and tracked per scene in Spark by the video processor.
+    */
+  private lazy val worldTracks: Array[TrackedRow] = {
     import spark.implicits._
-    val dets = (0L until 3L).flatMap { sid =>
-      (0 until 20).map(f => det(f, 1, 100 + f * 2.0, 200, scene = sid))
-    }
-    val df  = spark.createDataset(dets).toDF()
-    val out = tracker.track(spark, df).as[TrackedRow].collect()
-    assert(out.length === dets.size)
-    // Each scene has its own single track for the single object.
-    out.groupBy(_.sceneId).values.foreach { rows =>
-      assert(rows.map(_.trackId).distinct.size === 1)
+    val p   = WorldParams.nuscenes(nScenes = 2)
+    val cfg = PlanConfig(rvp = false, otp = false, geom3d = true, efs = false)
+    VideoProcessor.run(spark, WorldGen.frames(spark, p), WorldGen.gtStates(spark, p),
+                       RoadNetwork.grid(p.grid), Queries.q2, cfg, p.fps)
+      .tracked.get.as[TrackedRow].collect()
+  }
+
+  test("Spark-side tracking partitions by scene") {
+    // Track ids are per-scene counters: every scene numbers its tracks 1..n.
+    val byScene = worldTracks.groupBy(_.sceneId)
+    assert(byScene.keySet === Set(0L, 1L))
+    byScene.values.foreach { rows =>
+      val ids = rows.map(_.trackId).distinct.sorted
+      assert(ids.toSeq === (1L to ids.length.toLong))
     }
   }
 
   test("end-to-end: tracks over the synthetic world mostly follow ground-truth objects") {
-    import spark.implicits._
-    val p      = WorldParams.nuscenes(nScenes = 2)
-    val frames = WorldGen.frames(spark, p)
-    val gt     = WorldGen.gtStates(spark, p)
-    val dets3d = Estimators.geometry(spark, SimDetector.detect(spark, frames, gt))
-    val out    = tracker.track(spark, dets3d).as[TrackedRow].collect()
+    val out = worldTracks
     assert(out.nonEmpty)
     // Purity: each track should be dominated by a single ground-truth oid.
     val purity = out.groupBy(r => (r.sceneId, r.trackId)).values.map { rows =>

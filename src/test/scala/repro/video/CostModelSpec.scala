@@ -15,7 +15,7 @@ class CostModelSpec extends AnyFunSuite {
     geomApplied = false, efsApplied = false)
 
   test("baseline video processing is ~30s per 20s video (paper: 34s workflow, 89.9% video proc)") {
-    val s = CostModel.videoProcessingMs(baseline) / 1000.0
+    val s = CostModel.videoMs(baseline) / 1000.0
     info(f"baseline video processing $s%.1f s per video")
     assert(s > 24 && s < 38, s"baseline $s s out of the calibrated band")
   }
@@ -26,14 +26,14 @@ class CostModelSpec extends AnyFunSuite {
   }
 
   test("depth estimation is ~48% of baseline video processing (paper §6.3)") {
-    val total = CostModel.videoProcessingMs(baseline)
+    val total = CostModel.videoMs(baseline)
     val share = CostModel.MonodepthMs * baseline.depthFrames / total
     info(f"depth share ${share * 100}%.1f%%")
     assert(share > 0.40 && share < 0.56)
   }
 
   test("tracking is ~26% of baseline video processing (paper §6.2.2)") {
-    val total = CostModel.videoProcessingMs(baseline)
+    val total = CostModel.videoMs(baseline)
     val track = CostModel.TrackerFrameMs * 240 + CostModel.TrackerDetMs * 1440 +
       CostModel.TrackerPairMs * 1440 * 6
     val share = track / total
@@ -43,7 +43,7 @@ class CostModelSpec extends AnyFunSuite {
 
   test("geometry estimation makes the 3D share insignificant (48% -> <1%, §7.2.1)") {
     val geom  = baseline.copy(geomApplied = true, geomDets = 1440, depthFrames = 0)
-    val total = CostModel.videoProcessingMs(geom)
+    val total = CostModel.videoMs(geom)
     val share = CostModel.GeomPerDetMs * geom.geomDets / total
     info(f"geometry share ${share * 100}%.2f%%")
     assert(share < 0.01)
@@ -58,19 +58,19 @@ class CostModelSpec extends AnyFunSuite {
 
   test("RVP overhead is ~0.1% of video processing (§6.1.3)") {
     val rvp = baseline.copy(rvpApplied = true)
-    val share = CostModel.RvpPerFrameMs * 240 / CostModel.videoProcessingMs(rvp)
+    val share = CostModel.RvpPerFrameMs * 240 / CostModel.videoMs(rvp)
     assert(share < 0.002, s"RVP overhead share $share")
   }
 
   test("OTP overhead is ~0.06% of video processing (§6.2.2)") {
     val otp = baseline.copy(otpApplied = true)
-    val share = CostModel.OtpPerDetMs * 1440 / CostModel.videoProcessingMs(otp)
+    val share = CostModel.OtpPerDetMs * 1440 / CostModel.videoMs(otp)
     assert(share < 0.002, s"OTP overhead share $share")
   }
 
   test("RVP with zero pruned frames costs almost nothing extra (worst case, §6.1.3)") {
-    val withRvp = CostModel.videoProcessingMs(baseline.copy(rvpApplied = true))
-    val without = CostModel.videoProcessingMs(baseline)
+    val withRvp = CostModel.videoMs(baseline.copy(rvpApplied = true))
+    val without = CostModel.videoMs(baseline)
     assert((withRvp - without) / without < 0.002)
   }
 
@@ -80,7 +80,7 @@ class CostModelSpec extends AnyFunSuite {
       detsAfterOtp = (1440 * 0.785).toLong, depthFrames = (240 * 0.785).toLong,
       trackerFrames = (240 * 0.785).toLong, trackerDets = (1440 * 0.785).toLong,
       trackerPairOps = (1440 * 6 * 0.785).toLong)
-    val reduction = 1 - CostModel.videoProcessingMs(pruned) / CostModel.videoProcessingMs(baseline)
+    val reduction = 1 - CostModel.videoMs(pruned) / CostModel.videoMs(baseline)
     info(f"runtime reduction ${reduction * 100}%.1f%%")
     assert(reduction > 0.12 && reduction < 0.25)
   }
@@ -94,7 +94,7 @@ class CostModelSpec extends AnyFunSuite {
       trackerFrames = 75, trackerDets = 290, trackerPairOps = 1100,
       trackerRan = true, rvpApplied = true, otpApplied = true,
       geomApplied = true, efsApplied = true)
-    val speedup = CostModel.videoProcessingMs(baseline) / CostModel.videoProcessingMs(s6)
+    val speedup = CostModel.videoMs(baseline) / CostModel.videoMs(s6)
     info(f"modeled S6 speedup $speedup%.2f x")
     assert(speedup > 2.5 && speedup < 5.3, s"S6 speedup $speedup outside the paper band")
   }
@@ -108,7 +108,7 @@ class CostModelSpec extends AnyFunSuite {
 
   test("workflowMs adds query-engine and per-video constants") {
     val s = baseline.copy(queryRowsExamined = 100000)
-    assert(CostModel.workflowMs(s) > CostModel.videoProcessingMs(s))
+    assert(CostModel.workflowMs(s) > CostModel.videoMs(s))
     assert(CostModel.queryEngineMs(s) === CostModel.SqlPerRowMs * 100000)
   }
 

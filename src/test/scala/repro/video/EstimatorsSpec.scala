@@ -10,13 +10,13 @@ class EstimatorsSpec extends SparkSpec {
   private lazy val frames = WorldGen.frames(spark, p).persist()
   private lazy val gt     = WorldGen.gtStates(spark, p).persist()
   private lazy val dets   = SimDetector.detect(spark, frames, gt).persist()
-
-  import org.apache.spark.sql.functions._
+  private lazy val geom   = {
+    import spark.implicits._
+    dets.as[DetRow].collect().map(Estimators.geomOne(_))
+  }
 
   test("geometry estimator recovers ground-truth positions to sub-meter accuracy") {
-    import spark.implicits._
-    val rows = Estimators.geometry(spark, dets).as[Det3dRow].collect()
-    val geomRows = rows.filter(_.method == "geom")
+    val geomRows = geom.filter(_.method == "geom")
     assert(geomRows.nonEmpty)
     val errs = geomRows.map(d => math.hypot(d.estX - d.gtX, d.estY - d.gtY))
     val mean = errs.sum / errs.size
@@ -26,11 +26,10 @@ class EstimatorsSpec extends SparkSpec {
 
   test("ML estimator is noisier than the geometry estimator but unbiased-ish") {
     import spark.implicits._
-    val geom = Estimators.geometry(spark, dets).as[Det3dRow].collect()
-      .filter(_.method == "geom").map(d => math.hypot(d.estX - d.gtX, d.estY - d.gtY))
+    val geomErr = geom.filter(_.method == "geom").map(d => math.hypot(d.estX - d.gtX, d.estY - d.gtY))
     val ml = Estimators.ml(spark, dets).as[Det3dRow].collect()
       .map(d => math.hypot(d.estX - d.gtX, d.estY - d.gtY))
-    val geomMean = geom.sum / geom.size
+    val geomMean = geomErr.sum / geomErr.size
     val mlMean   = ml.sum / ml.size
     info(f"geom mean $geomMean%.3f m, ml mean $mlMean%.3f m")
     assert(mlMean > geomMean, "depth-noise path should be less accurate than ray-casting")
@@ -43,8 +42,7 @@ class EstimatorsSpec extends SparkSpec {
   }
 
   test("geometry estimator falls back to ML only for above-horizon boxes") {
-    val byMethod = Estimators.geometry(spark, dets).groupBy("method").count().collect()
-      .map(r => r.getString(0) -> r.getLong(1)).toMap
+    val byMethod = geom.groupBy(_.method).map { case (m, rs) => m -> rs.length.toLong }
     info(s"methods: $byMethod")
     assert(byMethod.contains("geom"))
     val fallback = byMethod.getOrElse("geom_fallback", 0L)
@@ -52,9 +50,8 @@ class EstimatorsSpec extends SparkSpec {
   }
 
   test("estimators preserve row count and detection identity") {
-    val g = Estimators.geometry(spark, dets)
-    assert(g.count() === dets.count())
-    assert(g.select("did").distinct().count() === dets.select("did").distinct().count())
+    assert(geom.length.toLong === dets.count())
+    assert(geom.map(_.did).distinct.length.toLong === dets.select("did").distinct().count())
   }
 
   test("estimators are deterministic") {

@@ -3,7 +3,7 @@ package repro.video
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
 import repro.geom.{CameraModel, Vec3}
-import repro.world.{SceneGen, WorldGen, WorldParams}
+import repro.world.{FrameRow, GtStateRow, SceneGen, WorldGen, WorldParams}
 
 class SimDetectorSpec extends SparkSpec {
 
@@ -63,19 +63,18 @@ class SimDetectorSpec extends SparkSpec {
 
   test("near objects are detected at a higher rate than far ones") {
     import spark.implicits._
-    val joined = frames.join(gt, Seq("sceneId", "frameIdx")).as[StateFrame].collect()
+    val byFrame = frames.as[FrameRow].collect().map(fr => (fr.sceneId, fr.frameIdx) -> fr).toMap
+    val joined  = gt.as[GtStateRow].collect().map(s => (byFrame((s.sceneId, s.frameIdx)), s))
     def rate(lo: Double, hi: Double): Double = {
-      val inBand = joined.filter { s =>
-        val pose = repro.geom.CamPose(s.camX, s.camY, s.camZ, s.camYaw, s.camPitch)
-        val it   = repro.geom.Intrinsics(s.fx, s.fy, s.skew, s.px0, s.py0, s.imgW, s.imgH)
-        CameraModel.worldToPixel(pose, it, Vec3(s.x, s.y, 0.0)) match {
+      val inBand = joined.filter { case (fr, s) =>
+        CameraModel.worldToPixel(fr.pose, fr.intrinsics, Vec3(s.x, s.y, 0.0)) match {
           case Some((xp, yp, zc)) =>
-            zc >= lo && zc < hi && xp >= 0 && xp < s.imgW && yp >= 0 && yp < s.imgH
+            zc >= lo && zc < hi && xp >= 0 && xp < fr.imgW && yp >= 0 && yp < fr.imgH
           case None => false
         }
       }
       if (inBand.isEmpty) 1.0
-      else inBand.count(s => SimDetector.detectOne(s, 101).isDefined).toDouble / inBand.size
+      else inBand.count { case (fr, s) => SimDetector.detectOne(fr, s, 101).isDefined }.toDouble / inBand.size
     }
     val near = rate(2, 40)
     val far  = rate(80, 120)
@@ -86,7 +85,7 @@ class SimDetectorSpec extends SparkSpec {
 
   test("detector output carries the frame's camera metadata verbatim") {
     import spark.implicits._
-    val f = frames.as[repro.world.FrameRow].collect()
+    val f = frames.as[FrameRow].collect()
       .map(fr => (fr.sceneId, fr.frameIdx) -> fr).toMap
     dets.as[DetRow].take(100).foreach { d =>
       val fr = f((d.sceneId, d.frameIdx))
