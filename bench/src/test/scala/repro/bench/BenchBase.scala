@@ -14,12 +14,6 @@ trait BenchBase extends SparkSpec {
   lazy val nuscenes: Dataset = BenchBase.nuscenesCache.synchronized {
     BenchBase.nuscenesCache.getOrElseUpdate(benchScenes, Scenarios.nuscenes(spark, benchScenes))
   }
-
-  def timed[A](body: => A): (A, Double) = {
-    val t0  = System.nanoTime()
-    val out = body
-    (out, (System.nanoTime() - t0) / 1e6)
-  }
 }
 
 object BenchBase {

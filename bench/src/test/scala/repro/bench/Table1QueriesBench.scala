@@ -1,8 +1,6 @@
 package repro.bench
 
-import repro.core.{OutputComposer, PlanConfig, SpatialyzeWorld}
-import repro.exp.{Scenarios, Tables}
-import repro.sflow.Queries
+import repro.exp.{QueriesExperiment, Scenarios, Tables}
 
 /** Table 1: all ten evaluation queries run end-to-end through the
   * build–filter–observe workflow with every applicable optimization.
@@ -10,32 +8,18 @@ import repro.sflow.Queries
 class Table1QueriesBench extends BenchBase {
 
   test("Table 1: Q1-Q10 end-to-end") {
-    val sky = Scenarios.sky(spark, math.max(2, benchScenes / 4))
-    val rows = Queries.all.map { q0 =>
-      val (ds, q) = if (q0.name == "Q10") (sky, Queries.q10Aerial) else (nuscenes, q0)
-      val world = new SpatialyzeWorld(spark, ds.fps)
-        .addGeogConstructs(ds.net).addVideo(ds.frames, ds.gtStates).filter(q.pred)
-      val (res, wallMs) = timed(world.observe(PlanConfig.all, q.name))
-      val matches  = res.rows.count()
-      val snippets = OutputComposer.snippets(res.rows).size
-      (q0.name, q0.description, matches, snippets, res.workflowMs / 1000.0, wallMs / 1000.0)
-    }
-
-    Tables.emit("table1_queries.md", Tables.markdown(
-      "Table 1: evaluation queries, end-to-end (modeled runtime = calibrated cost model; wall = this Spark run)",
-      Seq("query", "description", "matching rows", "snippets", "modeled s", "wall s"),
-      rows.map { case (n, d, m, s, ms, ws) =>
-        Seq(n, d, m.toString, s.toString, Tables.fmt(ms), Tables.fmt(ws)) }))
+    val rows = QueriesExperiment.run(spark, nuscenes, Scenarios.sky(spark, math.max(2, benchScenes / 4)))
+    Tables.queries.emit(rows)
 
     // Shape: the generator plants matches for the core scenarios. Q3's
     // wrong-way scenes are a seeded 25% of scenes, so require them only
     // at full bench scale.
-    val byName   = rows.map(r => r._1 -> r._3).toMap
+    val byName   = rows.map(r => r.query -> r.matches).toMap
     val required = Seq("Q1", "Q2", "Q5", "Q6", "Q10") ++
       (if (benchScenes >= 16) Seq("Q3", "Q9") else Nil)
     required.foreach { n =>
       assert(byName(n) > 0, s"$n must match in the synthetic world")
     }
-    assert(rows.forall(_._3 >= 0))
+    assert(rows.forall(_.matches >= 0))
   }
 }

@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.exp.{Scenarios, SystemsExperiment, Tables}
-import repro.video.CostModel
 
 /** Table 2 (§7.1 / Fig. 5a): Spatialyze vs EVA, VIVA, nuScenes devkit,
   * OTIF and SkyQuery. Shape assertions mirror the paper's claims.
@@ -10,10 +9,7 @@ class Table2SystemsBench extends BenchBase {
 
   test("EVA comparison (Q5-Q8, run in series with warm UDF cache)") {
     val rows = SystemsExperiment.eva(spark, nuscenes)
-    Tables.emit("table2_eva.md", Tables.markdown(
-      "EVA vs Spatialyze (paper: 2-7.3x faster on Q5-Q7, comparable on Q8)",
-      Seq("query", "EVA s", "Spatialyze s", "speedup x"),
-      rows.map(r => Seq(r.query, Tables.fmt(r.evaS), Tables.fmt(r.spatialyzeS), Tables.fmt(r.speedup)))))
+    Tables.eva.emit(rows)
     rows.filter(r => Seq("Q5", "Q6", "Q7").contains(r.query)).foreach { r =>
       assert(r.speedup > 1.8 && r.speedup < 9.0, s"${r.query}: ${r.speedup}x outside the paper band")
     }
@@ -25,10 +21,7 @@ class Table2SystemsBench extends BenchBase {
   test("VIVA comparison (Q9 on jackson-lite and nuScenes-lite)") {
     val jackson = Scenarios.jackson(spark, benchScenes)
     val rows    = SystemsExperiment.viva(spark, jackson, nuscenes)
-    Tables.emit("table2_viva.md", Tables.markdown(
-      "VIVA vs Spatialyze on Q9 (paper: 1.68x on Jackson, 6x on nuScenes)",
-      Seq("dataset", "VIVA s", "Spatialyze s", "speedup x"),
-      rows.map(r => Seq(r.dataset, Tables.fmt(r.vivaS), Tables.fmt(r.spatialyzeS), Tables.fmt(r.speedup)))))
+    Tables.viva.emit(rows)
     val j = rows.find(_.dataset == "jackson").get
     val n = rows.find(_.dataset == "nuscenes").get
     assert(j.speedup > 1.1 && j.speedup < 3.5, s"jackson ${j.speedup}x (paper 1.68x)")
@@ -38,14 +31,7 @@ class Table2SystemsBench extends BenchBase {
 
   test("nuScenes devkit comparison (Movable-Objects Query Engine, Q1-Q4)") {
     val rows = SystemsExperiment.devkit(spark, nuscenes)
-    Tables.emit("table2_devkit.md", Tables.markdown(
-      "nuScenes devkit vs Query Engine (paper: 117-716x, Q4 OOM)",
-      Seq("query", "devkit s", "Spatialyze s", "candidate rows devkit", "candidate rows engine", "speedup x"),
-      rows.map(r => Seq(r.query,
-        if (r.oom) "OOM" else Tables.fmt(r.devkitMs / 1000.0),
-        Tables.fmt(r.spatialyzeMs / 1000.0),
-        Tables.fmt(r.devkitRows), r.spatialyzeRows.toString,
-        if (r.oom) "OOM" else Tables.fmt(r.speedup)))))
+    Tables.devkit.emit(rows)
     val finished = rows.filterNot(_.oom)
     assert(finished.nonEmpty)
     finished.foreach { r =>
@@ -56,11 +42,7 @@ class Table2SystemsBench extends BenchBase {
 
   test("OTIF comparison (tracking throughput)") {
     val r = SystemsExperiment.otif(spark, nuscenes)
-    Tables.emit("table2_otif.md", Tables.markdown(
-      "OTIF vs Spatialyze tracking throughput (paper: 17.3 fps vs 18.3-39.5 fps + 61m37s training)",
-      Seq("OTIF fps", "OTIF training min", "Spatialyze fps min (Q1-Q4)", "Spatialyze fps max (Q1-Q4)"),
-      Seq(Seq(Tables.fmt(r.otifFps), Tables.fmt(r.otifTrainMin),
-              Tables.fmt(r.spatialyzeFpsMin), Tables.fmt(r.spatialyzeFpsMax)))))
+    Tables.otif.emit(Seq(r))
     assert(r.otifFps > 10 && r.otifFps < 30, s"OTIF ${r.otifFps} fps (paper 17.3)")
     assert(r.spatialyzeFpsMax > r.otifFps, "Spatialyze's best query beats OTIF without training")
     assert(r.spatialyzeFpsMin > 10, s"Spatialyze min fps ${r.spatialyzeFpsMin} (paper 18.3)")
@@ -69,11 +51,7 @@ class Table2SystemsBench extends BenchBase {
   test("SkyQuery comparison (aerial Q10)") {
     val sky = Scenarios.sky(spark, math.max(2, benchScenes / 4))
     val r   = SystemsExperiment.sky(spark, sky)
-    Tables.emit("table2_sky.md", Tables.markdown(
-      "SkyQuery vs Spatialyze (paper: 5.15 fps vs 6.08 fps = 1.18x, RVP only)",
-      Seq("SkyQuery fps", "Spatialyze fps", "speedup x", "frames pruned"),
-      Seq(Seq(Tables.fmt(r.skyQueryFps), Tables.fmt(r.spatialyzeFps),
-              Tables.fmt(r.speedup), f"${r.prunedFraction * 100}%.1f%%"))))
+    Tables.sky.emit(Seq(r))
     assert(r.speedup > 1.05 && r.speedup < 1.6, s"${r.speedup}x (paper 1.18x)")
     assert(r.skyQueryFps > 3 && r.skyQueryFps < 10, s"${r.skyQueryFps} fps (paper 5.15)")
   }

@@ -11,13 +11,7 @@ class Table3AblationRuntimeBench extends BenchBase {
     val rows = AblationExperiment.run(spark, nuscenes)
     Table3AblationRuntimeBench.cache = Some(rows)
 
-    Tables.emit("table3_ablation_runtime.md", Tables.markdown(
-      "Ablation: video-processing runtime per 20 s video " +
-        "(paper: SB=34 s workflow; S6 2.5-5.3x faster; RVP prunes 21.5%/3.8%; OTP prunes 36.5%/86.3%)",
-      Seq("query", "setup", "s/video", "speedup x", "frames pruned", "dets pruned"),
-      rows.map(r => Seq(r.query, r.setup, Tables.fmt(r.videoMsPerVideo / 1000.0),
-                        Tables.fmt(r.speedup), f"${r.prunedFrames * 100}%.1f%%",
-                        f"${r.prunedDets * 100}%.1f%%"))))
+    Tables.ablationRuntime.emit(rows)
 
     def row(q: String, s: String) = rows.find(r => r.query == q && r.setup == s).get
 

@@ -8,14 +8,8 @@ import repro.exp.{AblationExperiment, Tables}
 class Table4AblationAccuracyBench extends BenchBase {
 
   test("Table 4: AssA of S1,S2,S4,S5,S6 vs SB on Q1-Q4") {
-    val rows = Table3AblationRuntimeBench.cache
-      .getOrElse(AblationExperiment.run(spark, nuscenes))
-      .filter(r => Seq("S1", "S2", "S3", "S4", "S5", "S6").contains(r.setup))
-
-    Tables.emit("table4_ablation_accuracy.md", Tables.markdown(
-      "Ablation: AssA vs SB (paper: S1 95.3-99.6%, S2 94.7-97.5%, S5 ~93.4% avg, S6 ~84.5% avg)",
-      Seq("query", "setup", "AssA"),
-      rows.map(r => Seq(r.query, r.setup, f"${r.assA * 100}%.1f%%"))))
+    val rows = Table3AblationRuntimeBench.cache.getOrElse(AblationExperiment.run(spark, nuscenes))
+    Tables.ablationAccuracy.emit(rows)
 
     def row(q: String, s: String) = rows.find(r => r.query == q && r.setup == s).get
 

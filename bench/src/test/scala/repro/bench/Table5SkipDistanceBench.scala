@@ -9,12 +9,7 @@ class Table5SkipDistanceBench extends BenchBase {
 
   test("Table 5: F1 and runtime ratio per skip distance") {
     val rows = SkipDistanceExperiment.run(spark, nuscenes, maxSkip = 20)
-    Tables.emit("table5_skip_distance.md", Tables.markdown(
-      "Exit Frame Sampler skips (paper: ratio falls with skip; ~28% runtime at skip 13; " +
-        "avg skip 3.6 -> 39% runtime; accuracy degrades past ~13)",
-      Seq("skip", "gaps", "F1", "runtime ratio"),
-      rows.map(r => Seq(r.skip.toString, r.gaps.toString, f"${r.f1 * 100}%.1f%%",
-                        Tables.fmt(r.runtimeRatio)))))
+    Tables.skipDistance.emit(rows)
 
     assert(rows.nonEmpty)
     val populated = rows.filter(_.gaps >= 10)

@@ -1,10 +1,7 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{OutputComposer, PlanConfig, SpatialyzeWorld}
 import repro.exp._
-import repro.sflow.Queries
-import repro.video.CostModel
 
 /** Shared session bootstrap for the spark-submit entrypoints. */
 object JobSession {
@@ -28,21 +25,8 @@ object Table1Queries {
   def main(args: Array[String]): Unit = {
     val spark = JobSession.spark("table1-queries")
     val n     = JobSession.scenes(args, 24)
-    val nus   = Scenarios.nuscenes(spark, n)
-    val sky   = Scenarios.sky(spark, math.max(2, n / 4))
-    val rows = Queries.all.map { q =>
-      val ds = if (q.name == "Q10") sky else nus
-      val query = if (q.name == "Q10") Queries.q10Aerial else q
-      val world = new SpatialyzeWorld(spark, ds.fps)
-        .addGeogConstructs(ds.net).addVideo(ds.frames, ds.gtStates).filter(query.pred)
-      val res      = world.observe(PlanConfig.all, query.name)
-      val snippets = OutputComposer.snippets(res.rows)
-      Seq(q.name, q.description, res.rows.count().toString, snippets.size.toString,
-          Tables.fmt(res.workflowMs / 1000.0))
-    }
-    Tables.emit("table1_queries.md",
-      Tables.markdown("Table 1: evaluation queries, end-to-end",
-        Seq("query", "description", "matching rows", "snippets", "modeled s"), rows))
+    Tables.queries.emit(QueriesExperiment.run(spark, Scenarios.nuscenes(spark, n),
+                                              Scenarios.sky(spark, math.max(2, n / 4))))
     spark.stop()
   }
 }
@@ -55,36 +39,11 @@ object Table2Systems {
     val spark = JobSession.spark("table2-systems")
     val n     = JobSession.scenes(args, 24)
     val nus   = Scenarios.nuscenes(spark, n)
-
-    val evaRows = SystemsExperiment.eva(spark, nus).map(r =>
-      Seq(r.query, Tables.fmt(r.evaS), Tables.fmt(r.spatialyzeS), Tables.fmt(r.speedup)))
-    Tables.emit("table2_eva.md", Tables.markdown("EVA vs Spatialyze (Q5-Q8, serial)",
-      Seq("query", "EVA s", "Spatialyze s", "speedup x"), evaRows))
-
-    val jak = Scenarios.jackson(spark, math.max(4, n))
-    val vivaRows = SystemsExperiment.viva(spark, jak, nus).map(r =>
-      Seq(r.dataset, Tables.fmt(r.vivaS), Tables.fmt(r.spatialyzeS), Tables.fmt(r.speedup)))
-    Tables.emit("table2_viva.md", Tables.markdown("VIVA vs Spatialyze (Q9)",
-      Seq("dataset", "VIVA s", "Spatialyze s", "speedup x"), vivaRows))
-
-    val devkitRows = SystemsExperiment.devkit(spark, nus).map(r =>
-      Seq(r.query, if (r.oom) "OOM" else Tables.fmt(r.devkitMs / 1000.0),
-          Tables.fmt(r.spatialyzeMs / 1000.0),
-          if (r.oom) "OOM" else Tables.fmt(r.speedup)))
-    Tables.emit("table2_devkit.md", Tables.markdown("nuScenes devkit vs Movable-Objects Query Engine",
-      Seq("query", "devkit s", "Spatialyze s", "speedup x"), devkitRows))
-
-    val o = SystemsExperiment.otif(spark, nus)
-    Tables.emit("table2_otif.md", Tables.markdown("OTIF vs Spatialyze tracking throughput",
-      Seq("OTIF fps", "OTIF training min", "Spatialyze fps min", "Spatialyze fps max"),
-      Seq(Seq(Tables.fmt(o.otifFps), Tables.fmt(o.otifTrainMin),
-              Tables.fmt(o.spatialyzeFpsMin), Tables.fmt(o.spatialyzeFpsMax)))))
-
-    val sky = SystemsExperiment.sky(spark, Scenarios.sky(spark, math.max(2, n / 4)))
-    Tables.emit("table2_sky.md", Tables.markdown("SkyQuery vs Spatialyze (aerial Q10)",
-      Seq("SkyQuery fps", "Spatialyze fps", "speedup x", "frames pruned"),
-      Seq(Seq(Tables.fmt(sky.skyQueryFps), Tables.fmt(sky.spatialyzeFps),
-              Tables.fmt(sky.speedup), f"${sky.prunedFraction * 100}%.1f%%"))))
+    Tables.eva.emit(SystemsExperiment.eva(spark, nus))
+    Tables.viva.emit(SystemsExperiment.viva(spark, Scenarios.jackson(spark, math.max(4, n)), nus))
+    Tables.devkit.emit(SystemsExperiment.devkit(spark, nus))
+    Tables.otif.emit(Seq(SystemsExperiment.otif(spark, nus)))
+    Tables.sky.emit(Seq(SystemsExperiment.sky(spark, Scenarios.sky(spark, math.max(2, n / 4)))))
     spark.stop()
   }
 }
@@ -94,13 +53,7 @@ object Table3AblationRuntime {
   def main(args: Array[String]): Unit = {
     val spark = JobSession.spark("table3-ablation-runtime")
     val ds    = Scenarios.nuscenes(spark, JobSession.scenes(args, 24))
-    val rows = AblationExperiment.run(spark, ds).map { r =>
-      Seq(r.query, r.setup, Tables.fmt(r.videoMsPerVideo / 1000.0), Tables.fmt(r.speedup),
-          f"${r.prunedFrames * 100}%.1f%%", f"${r.prunedDets * 100}%.1f%%")
-    }
-    Tables.emit("table3_ablation_runtime.md",
-      Tables.markdown("Ablation: video-processing runtime per 20 s video",
-        Seq("query", "setup", "s/video", "speedup x", "frames pruned", "dets pruned"), rows))
+    Tables.ablationRuntime.emit(AblationExperiment.run(spark, ds))
     spark.stop()
   }
 }
@@ -110,12 +63,7 @@ object Table4AblationAccuracy {
   def main(args: Array[String]): Unit = {
     val spark = JobSession.spark("table4-ablation-accuracy")
     val ds    = Scenarios.nuscenes(spark, JobSession.scenes(args, 24))
-    val rows = AblationExperiment.run(spark, ds)
-      .filter(r => Seq("S1", "S2", "S4", "S5", "S6").contains(r.setup))
-      .map(r => Seq(r.query, r.setup, f"${r.assA * 100}%.1f%%"))
-    Tables.emit("table4_ablation_accuracy.md",
-      Tables.markdown("Ablation: AssA vs the unoptimized (SB) tracks",
-        Seq("query", "setup", "AssA"), rows))
+    Tables.ablationAccuracy.emit(AblationExperiment.run(spark, ds))
     spark.stop()
   }
 }
@@ -125,11 +73,7 @@ object Table5SkipDistance {
   def main(args: Array[String]): Unit = {
     val spark = JobSession.spark("table5-skip-distance")
     val ds    = Scenarios.nuscenes(spark, JobSession.scenes(args, 24))
-    val rows = SkipDistanceExperiment.run(spark, ds).map(r =>
-      Seq(r.skip.toString, r.gaps.toString, f"${r.f1 * 100}%.1f%%", Tables.fmt(r.runtimeRatio)))
-    Tables.emit("table5_skip_distance.md",
-      Tables.markdown("Exit Frame Sampler: F1 and runtime ratio per skip distance",
-        Seq("skip", "gaps", "F1", "runtime ratio"), rows))
+    Tables.skipDistance.emit(SkipDistanceExperiment.run(spark, ds))
     spark.stop()
   }
 }

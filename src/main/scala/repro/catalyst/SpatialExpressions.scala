@@ -6,9 +6,9 @@ import org.apache.spark.sql.catalyst.expressions.{BinaryExpression, Expression, 
 import org.apache.spark.sql.catalyst.expressions.codegen.CodegenFallback
 import org.apache.spark.sql.catalyst.util.ArrayData
 import org.apache.spark.sql.types.{BooleanType, DataType, DoubleType}
-import repro.geom.Heading
+import repro.geom.{Heading, Polygon}
 
-/** Shared evaluation helpers for the spatial expressions. */
+/** Shared evaluation helper for the spatial expressions. */
 private[catalyst] object SpatialEval {
   def toD(a: Any): Double = a match {
     case d: Double => d
@@ -16,75 +16,42 @@ private[catalyst] object SpatialEval {
     case n: Number => n.doubleValue()
     case other     => throw new IllegalArgumentException(s"not numeric: $other")
   }
-
-  /** Ray-casting point-in-polygon over parallel coordinate arrays,
-    * boundary-inclusive-ish (consistent with geom.Polygon but allocation
-    * free — this runs per joined row in the query engine).
-    */
-  def contains(xs: Array[Double], ys: Array[Double], px: Double, py: Double): Boolean = {
-    val n = math.min(xs.length, ys.length)
-    if (n < 3) return false
-    var inside = false
-    var j      = n - 1
-    var i      = 0
-    while (i < n) {
-      val xi = xs(i); val yi = ys(i); val xj = xs(j); val yj = ys(j)
-      // Boundary tolerance: point on a horizontal/vertical edge.
-      if ((yi > py) != (yj > py) && px < (xj - xi) * (py - yi) / (yj - yi) + xi) inside = !inside
-      j = i
-      i += 1
-    }
-    inside
-  }
 }
 
-/** `st_contains(xs, ys, x, y)` — polygon (parallel double arrays) contains
-  * ground point. Rewritten by SpatialPrefilterRule into a bbox check plus
-  * `StContainsExact`; evaluable as-is when the rule has not run.
+/** `geom.Polygon.contains` over a polygon's parallel coordinate arrays and
+  * a ground point: the one containment test, shared by both expressions.
   */
-case class StContains(xsE: Expression, ysE: Expression, xE: Expression, yE: Expression)
-    extends QuaternaryExpression with CodegenFallback {
-  override def first: Expression  = xsE
-  override def second: Expression = ysE
-  override def third: Expression  = xE
-  override def fourth: Expression = yE
+sealed abstract class PolygonContains extends QuaternaryExpression with CodegenFallback {
   override def dataType: DataType = BooleanType
   override def nullable: Boolean  = true
-  override def prettyName: String = "st_contains"
 
   override def nullSafeEval(xs: Any, ys: Any, x: Any, y: Any): Any =
-    SpatialEval.contains(xs.asInstanceOf[ArrayData].toDoubleArray(),
-                         ys.asInstanceOf[ArrayData].toDoubleArray(),
-                         SpatialEval.toD(x), SpatialEval.toD(y))
+    Polygon.contains(xs.asInstanceOf[ArrayData].toDoubleArray(),
+                     ys.asInstanceOf[ArrayData].toDoubleArray(),
+                     SpatialEval.toD(x), SpatialEval.toD(y))
+}
+
+/** `st_contains(xs, ys, x, y)` — polygon contains ground point. Rewritten
+  * by SpatialPrefilterRule into a bbox check plus `StContainsExact`;
+  * evaluable as-is when the rule has not run.
+  */
+case class StContains(first: Expression, second: Expression, third: Expression, fourth: Expression)
+    extends PolygonContains {
+  override def prettyName: String = "st_contains"
 
   override protected def withNewChildrenInternal(
-      newFirst: Expression, newSecond: Expression,
-      newThird: Expression, newFourth: Expression): Expression =
-    copy(xsE = newFirst, ysE = newSecond, xE = newThird, yE = newFourth)
+      a: Expression, b: Expression, c: Expression, d: Expression): Expression = copy(a, b, c, d)
 }
 
 /** The exact-test half of a rewritten `st_contains`; never produced by the
   * parser, which makes the prefilter rule idempotent.
   */
-case class StContainsExact(xsE: Expression, ysE: Expression, xE: Expression, yE: Expression)
-    extends QuaternaryExpression with CodegenFallback {
-  override def first: Expression  = xsE
-  override def second: Expression = ysE
-  override def third: Expression  = xE
-  override def fourth: Expression = yE
-  override def dataType: DataType = BooleanType
-  override def nullable: Boolean  = true
+case class StContainsExact(first: Expression, second: Expression, third: Expression, fourth: Expression)
+    extends PolygonContains {
   override def prettyName: String = "st_contains_exact"
 
-  override def nullSafeEval(xs: Any, ys: Any, x: Any, y: Any): Any =
-    SpatialEval.contains(xs.asInstanceOf[ArrayData].toDoubleArray(),
-                         ys.asInstanceOf[ArrayData].toDoubleArray(),
-                         SpatialEval.toD(x), SpatialEval.toD(y))
-
   override protected def withNewChildrenInternal(
-      newFirst: Expression, newSecond: Expression,
-      newThird: Expression, newFourth: Expression): Expression =
-    copy(xsE = newFirst, ysE = newSecond, xE = newThird, yE = newFourth)
+      a: Expression, b: Expression, c: Expression, d: Expression): Expression = copy(a, b, c, d)
 }
 
 /** `st_distance(x1, y1, x2, y2)` — Euclidean ground-plane distance. */

@@ -39,24 +39,27 @@ object QueryEngine {
   val StoppedMaxDispM   = 3.0
   val StoppedMinSamples = 8
 
-  /** Enrich Movable-Objects samples with derived heading (degrees CCW
-    * from +x) and speed (m/s) from the track geometry.
+  /** Enrich Movable-Objects samples with a derived heading (degrees CCW
+    * from +x) from the track geometry.
     */
-  def enrich(objs: DataFrame, fps: Double): DataFrame = {
+  def enrich(objs: DataFrame): DataFrame = {
     val w = Window.partitionBy("sceneId", "oid").orderBy("frameIdx")
     objs
       .withColumn("_px", lag("x", HeadingLag).over(w))
       .withColumn("_py", lag("y", HeadingLag).over(w))
-      .withColumn("_pf", lag("frameIdx", HeadingLag).over(w))
       .withColumn("_d", sqrt(pow(col("x") - col("_px"), 2) + pow(col("y") - col("_py"), 2)))
       .withColumn("heading",
         when(col("_d") >= MinHeadingDistM,
              pmod(degrees(atan2(col("y") - col("_py"), col("x") - col("_px"))), lit(360.0))))
-      .withColumn("speed",
-        when(col("_pf").isNotNull && col("frameIdx") > col("_pf"),
-             col("_d") * fps / (col("frameIdx") - col("_pf"))))
-      .drop("_px", "_py", "_pf", "_d")
+      .drop("_px", "_py", "_d")
   }
+
+  /** The camera table `run` joins: one row per frame, the ego camera's
+    * ground position and heading.
+    */
+  def cams(frames: DataFrame): DataFrame =
+    frames.select(col("sceneId"), col("frameIdx"), col("camX").as("x"), col("camY").as("y"),
+                  col("camYaw").as("heading"))
 
   /** Per-track aggregates for trajectory predicates (turnLeft, stopped). */
   def aggregates(objs: DataFrame): DataFrame = {
@@ -85,6 +88,8 @@ object QueryEngine {
   /** Compile the predicate into SQL and execute it. `objs` must have
     * columns (sceneId, frameIdx, oid, otype, x, y); `cams`
     * (sceneId, frameIdx, x, y, heading); `roads` the RoadNetwork table.
+    * The temp views it registers are dropped before it returns; `rows`
+    * stays cached.
     */
   def run(spark: SparkSession, query: Query, objs: DataFrame, cams: DataFrame,
           roads: DataFrame, fps: Double): QueryResult = {
@@ -95,10 +100,7 @@ object QueryEngine {
     val cs    = Pred.conjuncts(pred)
 
     val tag = s"v${viewCounter.incrementAndGet()}"
-    val enriched = enrich(objs, fps).persist()
-    enriched.createOrReplaceTempView(s"objs_$tag")
-    cams.createOrReplaceTempView(s"cams_$tag")
-    roads.createOrReplaceTempView(s"roads_$tag")
+    val enriched = enrich(objs).persist()
 
     def aggPreds(p: Pred): Seq[ObjRef] = p match {
       case TurnLeft(o) => Seq(o)
@@ -109,7 +111,9 @@ object QueryEngine {
     }
     val aggObjs  = aggPreds(pred).distinct
     val needsAgg = aggObjs.nonEmpty
-    if (needsAgg) aggregates(enriched).createOrReplaceTempView(s"agg_$tag")
+    val views = Seq(s"objs_$tag" -> enriched, s"cams_$tag" -> cams, s"roads_$tag" -> roads) ++
+      (if (needsAgg) Seq(s"agg_$tag" -> aggregates(enriched)) else Nil)
+    views.foreach { case (name, df) => df.createOrReplaceTempView(name) }
 
     def alias(t: Term): String = t match {
       case ObjRef(n)    => n
@@ -182,6 +186,11 @@ object QueryEngine {
     val base = if (sumNk.isNullAt(0)) 0.0 else sumNk.getDouble(0)
     val rowsExamined = (base * math.pow(4.0, geoRs.size)).toLong
 
+    // Drop the names only (`spark.catalog.dropTempView` would also
+    // uncache a caller's cached `cams` or `roads`). The counted `rows`
+    // keep their cached blocks without `enriched`.
+    views.foreach { case (name, _) => spark.sessionState.catalog.dropTempView(name) }
+    enriched.unpersist()
     QueryResult(rows, rowsExamined, sql)
   }
 }

@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions.col
 import repro.sflow.{Analyzer, And, Pred, Query}
 import repro.video.{CostModel, RunStats}
 import repro.world.RoadNetwork
@@ -61,10 +60,7 @@ final class SpatialyzeWorld(spark: SparkSession, val fps: Double = 12.0) {
     val query   = currentQuery(name)
 
     val proc = VideoProcessor.run(spark, frames, gt, network, query, config, fps)
-    val cams = frames.select(col("sceneId"), col("frameIdx"),
-                             col("camX").as("x"), col("camY").as("y"),
-                             col("camYaw").as("heading"))
-    val qr = QueryEngine.run(spark, query, proc.objs, cams, network.toDF(spark), fps)
+    val qr   = QueryEngine.run(spark, query, proc.objs, QueryEngine.cams(frames), network.toDF(spark), fps)
     val stats = proc.stats.copy(queryRowsExamined = qr.rowsExamined)
     ObserveResult(qr.rows, proc.objs, stats, qr.sql, proc)
   }

@@ -1,10 +1,9 @@
 package repro.exp
 
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.functions.col
 import repro.baselines._
-import repro.core.{PlanConfig, QueryEngine, VideoProcessor}
-import repro.sflow.{Queries, Query}
+import repro.core.{PlanConfig, QueryEngine, SpatialyzeWorld, VideoProcessor}
+import repro.sflow.Queries
 import repro.video.CostModel
 
 /** §7.1 system comparisons (Fig. 5a and surrounding text). */
@@ -23,13 +22,10 @@ object SystemsExperiment {
     val queries = Seq(Queries.q5, Queries.q6, Queries.q7, Queries.q8)
     queries.map { q =>
       val evaRun = evaSim.run(ds.frames, ds.gtStates, ds.net, q)
-      val proc   = VideoProcessor.run(spark, ds.frames, ds.gtStates, ds.net, q, PlanConfig.all, ds.fps)
-      val cams = ds.frames.select(col("sceneId"), col("frameIdx"),
-                                  col("camX").as("x"), col("camY").as("y"),
-                                  col("camYaw").as("heading"))
-      val qr    = QueryEngine.run(spark, q, proc.objs, cams, ds.roadsDf, ds.fps)
-      val stats = proc.stats.copy(queryRowsExamined = qr.rowsExamined)
-      EvaRow(q.name, evaRun.modeledMs / 1000.0, CostModel.workflowMs(stats) / 1000.0)
+      val res = new SpatialyzeWorld(spark, ds.fps)
+        .addGeogConstructs(ds.net).addVideo(ds.frames, ds.gtStates).filter(q.pred)
+        .observe(PlanConfig.all, q.name)
+      EvaRow(q.name, evaRun.modeledMs / 1000.0, res.workflowMs / 1000.0)
     }
   }
 
@@ -53,9 +49,7 @@ object SystemsExperiment {
     // Both engines query the same processed Movable Objects (SB plan).
     val proc = VideoProcessor.run(spark, ds.frames, ds.gtStates, ds.net,
                                   Queries.q2, PlanConfig.baseline, ds.fps)
-    val cams = ds.frames.select(col("sceneId"), col("frameIdx"),
-                                col("camX").as("x"), col("camY").as("y"),
-                                col("camYaw").as("heading"))
+    val cams = QueryEngine.cams(ds.frames)
     queries.map { q =>
       val qr = QueryEngine.run(spark, q, proc.objs, cams, ds.roadsDf, ds.fps)
       DevkitSim.compare(spark, q, proc.objs, ds.roadCountsByType, qr.rowsExamined)

@@ -21,44 +21,10 @@ final case class Polygon(xs: Array[Double], ys: Array[Double]) {
 
   def centroid: Vec2 = Vec2(xs.sum / n, ys.sum / n)
 
-  /** Ray-casting point-in-polygon; boundary points count as inside
-    * (within a small tolerance), matching the inclusive semantics of
-    * `contains(construct, obj)` in S-Flow.
-    */
-  def contains(px: Double, py: Double): Boolean = {
-    if (px < minX - Eps || px > maxX + Eps || py < minY - Eps || py > maxY + Eps) return false
-    if (onBoundary(px, py)) return true
-    var inside = false
-    var j      = n - 1
-    var i      = 0
-    while (i < n) {
-      val (xi, yi) = (xs(i), ys(i))
-      val (xj, yj) = (xs(j), ys(j))
-      if ((yi > py) != (yj > py) && px < (xj - xi) * (py - yi) / (yj - yi) + xi)
-        inside = !inside
-      j = i
-      i += 1
-    }
-    inside
-  }
+  /** Point-in-polygon with inclusive boundary; see `Polygon.contains`. */
+  def contains(px: Double, py: Double): Boolean = Polygon.contains(xs, ys, px, py)
 
   def contains(p: Vec2): Boolean = contains(p.x, p.y)
-
-  private def onBoundary(px: Double, py: Double): Boolean = {
-    var j = n - 1
-    var i = 0
-    while (i < n) {
-      val a = vertex(j); val b = vertex(i)
-      val ab = b - a; val ap = Vec2(px, py) - a
-      val len2 = ab dot ab
-      val t    = if (len2 < 1e-18) 0.0 else math.max(0.0, math.min(1.0, (ap dot ab) / len2))
-      val d    = (ap - ab * t).norm
-      if (d <= Eps) return true
-      j = i
-      i += 1
-    }
-    false
-  }
 
   /** Convex-polygon overlap via the separating-axis theorem. Both polygons
     * must be convex (road segments and view hulls are). Touching counts
@@ -91,20 +57,76 @@ final case class Polygon(xs: Array[Double], ys: Array[Double]) {
         val ao = a - origin
         val t  = (ao cross e) / denom
         val u  = (ao cross d) / denom
-        if (t >= -Eps && u >= -1e-9 && u <= 1 + 1e-9 && t < best) best = t
+        if (t >= -Polygon.Eps && u >= -1e-9 && u <= 1 + 1e-9 && t < best) best = t
       }
       j = i
       i += 1
     }
     if (best.isInfinity) None else Some(math.max(0.0, best))
   }
-
-  private val Eps = 1e-9
 }
 
 object Polygon {
   def apply(pts: Seq[Vec2]): Polygon =
     new Polygon(pts.map(_.x).toArray, pts.map(_.y).toArray)
+
+  /** Boundary tolerance (m): a point this close to an edge is on it. */
+  final val Eps = 1e-9
+
+  /** Point-in-polygon over parallel vertex arrays: inside by ray casting,
+    * or within `Eps` of an edge, which matches the inclusive semantics of
+    * `contains(construct, obj)` in S-Flow. The one containment test of the
+    * system: `Polygon#contains` and the query engine's `st_contains` both
+    * call it, so it allocates nothing. Fewer than 3 vertices contain
+    * nothing.
+    *
+    * A point farther than `Eps` outside the bounding box fails every
+    * edge's box test in `onBoundary` and crosses an even number of edges,
+    * so no separate box pass is needed. The ray cast runs first: a point
+    * it finds inside needs no boundary pass.
+    */
+  def contains(xs: Array[Double], ys: Array[Double], px: Double, py: Double): Boolean = {
+    val n = math.min(xs.length, ys.length)
+    n >= 3 && (crossesOdd(xs, ys, n, px, py) || onBoundary(xs, ys, n, px, py))
+  }
+
+  private def crossesOdd(xs: Array[Double], ys: Array[Double], n: Int, px: Double, py: Double): Boolean = {
+    var inside = false
+    var j      = n - 1
+    var i      = 0
+    while (i < n) {
+      val xi = xs(i); val yi = ys(i); val xj = xs(j); val yj = ys(j)
+      if ((yi > py) != (yj > py) && px < (xj - xi) * (py - yi) / (yj - yi) + xi) inside = !inside
+      j = i
+      i += 1
+    }
+    inside
+  }
+
+  private def onBoundary(xs: Array[Double], ys: Array[Double], n: Int, px: Double, py: Double): Boolean = {
+    var j = n - 1
+    var i = 0
+    while (i < n) {
+      if (onEdge(xs(j), ys(j), xs(i), ys(i), px, py)) return true
+      j = i
+      i += 1
+    }
+    false
+  }
+
+  /** Whether p lies within `Eps` of segment ab. An edge whose box ± `Eps`
+    * misses p is rejected before the distance is computed.
+    */
+  private def onEdge(ax: Double, ay: Double, bx: Double, by: Double, px: Double, py: Double): Boolean = {
+    if ((px < ax - Eps && px < bx - Eps) || (px > ax + Eps && px > bx + Eps) ||
+        (py < ay - Eps && py < by - Eps) || (py > ay + Eps && py > by + Eps)) return false
+    val abx = bx - ax; val aby = by - ay
+    val apx = px - ax; val apy = py - ay
+    val len2 = abx * abx + aby * aby
+    val t    = if (len2 < 1e-18) 0.0 else math.max(0.0, math.min(1.0, (apx * abx + apy * aby) / len2))
+    val dx   = apx - abx * t; val dy = apy - aby * t
+    math.sqrt(dx * dx + dy * dy) <= Eps
+  }
 
   /** Axis-aligned rectangle. */
   def rect(x0: Double, y0: Double, x1: Double, y1: Double): Polygon =

@@ -7,9 +7,7 @@ import repro.geom.{Polygon, Vec2}
   * on the ground plane. Lanes and bike lanes carry a traffic heading
   * (§4.2.3); intersections / lane groups / road sections do not.
   */
-final case class RoadSegment(rid: Long, rtype: String, polygon: Polygon, heading: Option[Double]) {
-  def center: Vec2 = polygon.centroid
-}
+final case class RoadSegment(rid: Long, rtype: String, polygon: Polygon, heading: Option[Double])
 
 /** A synthetic road network standing in for the Boston-Seaport / Scenic
   * road data: a rectangular grid of two-lane roads with intersections,
@@ -32,25 +30,18 @@ final case class RoadNetwork(segments: Vector[RoadSegment], params: GridParams) 
     segments.find(s => s.rtype == "intersection" && s.polygon.contains(p))
 
   /** Geographic-construct table for the geospatial metadata store
-    * (paper §5.2.1). bbox columns back the Catalyst bbox-prefilter rule
-    * (the "spatial index" analogue).
+    * (paper §5.2.1). The Catalyst bbox-prefilter rule (the "spatial
+    * index" analogue) derives each box from the `xs`/`ys` vertex arrays.
     */
   def toDF(spark: SparkSession): DataFrame = {
     import spark.implicits._
-    segments
-      .map { s =>
-        RoadRow(s.rid, s.rtype, s.polygon.xs, s.polygon.ys,
-                s.heading, s.polygon.minX, s.polygon.maxX, s.polygon.minY, s.polygon.maxY,
-                s.center.x, s.center.y)
-      }
-      .toDF()
+    segments.map(s => RoadRow(s.rid, s.rtype, s.polygon.xs, s.polygon.ys, s.heading)).toDF()
   }
 }
 
 /** Row shape of the road-network table. */
 final case class RoadRow(rid: Long, rtype: String, xs: Array[Double], ys: Array[Double],
-                         heading: Option[Double], minx: Double, maxx: Double,
-                         miny: Double, maxy: Double, cx: Double, cy: Double)
+                         heading: Option[Double])
 
 /** Grid parameters. `spacing` is the distance between parallel road
   * centerlines; each road has one lane per direction of width `laneWidth`;

@@ -36,6 +36,21 @@ class SpatialExpressionsSpec extends SparkSpec {
       val expected = poly.contains(r.getDouble(3), r.getDouble(4))
       assert(r.getBoolean(5) === expected, s"row ${r.getLong(0)}")
     }
+
+    // Fixed boundary cases, all inside: a point on each of the four edges
+    // of a rectangle, a vertex, and a point 0.5e-9 outside the right edge.
+    import spark.implicits._
+    val rect  = Polygon.rect(-3.5, 76.5, 3.5, 83.5)
+    val cases = Seq(0.0 -> 76.5, 3.5 -> 80.0, 0.0 -> 83.5, -3.5 -> 80.0, 3.5 -> 83.5, (3.5 + 0.5e-9) -> 80.0)
+    cases.map { case (x, y) => (rect.xs.toSeq, rect.ys.toSeq, x, y) }.toDF("xs", "ys", "px", "py")
+      .createOrReplaceTempView("boundary_points")
+    spark.sql("""SELECT px, py, st_contains(xs, ys, px, py), st_contains_exact(xs, ys, px, py)
+                 FROM boundary_points""").collect().foreach { r =>
+      val (px, py) = (r.getDouble(0), r.getDouble(1))
+      assert(rect.contains(px, py), s"Polygon.contains($px, $py)")
+      assert(r.getBoolean(2), s"st_contains($px, $py)")
+      assert(r.getBoolean(3), s"st_contains_exact($px, $py)")
+    }
   }
 
   test("st_contains_exact matches st_contains") {

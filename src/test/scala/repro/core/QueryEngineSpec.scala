@@ -48,7 +48,7 @@ class QueryEngineSpec extends SparkSpec {
   private def q(name: String, pred: Pred): Query = Query(name, name, pred)
 
   test("enrich derives headings from track displacement") {
-    val e = QueryEngine.enrich(objs, fps)
+    val e = QueryEngine.enrich(objs)
     val h1 = e.filter(col("oid") === 1 && col("heading").isNotNull)
       .agg(avg("heading")).collect()(0).getDouble(0)
     assert(math.abs(h1 - 0.0) < 1.0, s"eastbound heading $h1")
@@ -57,20 +57,13 @@ class QueryEngineSpec extends SparkSpec {
     assert(math.abs(h2 - 180.0) < 1.0, s"westbound heading $h2")
   }
 
-  test("enrich derives speed in m/s") {
-    val e = QueryEngine.enrich(objs, fps)
-    val s1 = e.filter(col("oid") === 1 && col("speed").isNotNull)
-      .agg(avg("speed")).collect()(0).getDouble(0)
-    assert(math.abs(s1 - 0.8 * fps) < 0.1, s"speed $s1 vs ${0.8 * fps}")
-  }
-
   test("enrich leaves stationary objects without a heading") {
-    val e = QueryEngine.enrich(objs, fps)
+    val e = QueryEngine.enrich(objs)
     assert(e.filter(col("oid") === 4 && col("heading").isNotNull).count() === 0L)
   }
 
   test("aggregates flag stopped tracks and only those") {
-    val agg = QueryEngine.aggregates(QueryEngine.enrich(objs, fps))
+    val agg = QueryEngine.aggregates(QueryEngine.enrich(objs))
     val stopped = agg.filter(col("stopped")).select("oid").collect().map(_.getLong(0)).toSet
     assert(stopped === Set(4L))
   }
@@ -81,13 +74,13 @@ class QueryEngineSpec extends SparkSpec {
     val turn = (0 until 30).map(f => (1L, f, 9L, "car", 0.0 + 0.8 * f, 0.0)) ++
       (30 until 60).map(f => (1L, f, 9L, "car", 24.0, 0.8 * (f - 30)))
     val agg = QueryEngine.aggregates(QueryEngine.enrich(
-      turn.toDF("sceneId", "frameIdx", "oid", "otype", "x", "y"), fps))
+      turn.toDF("sceneId", "frameIdx", "oid", "otype", "x", "y")))
     assert(agg.filter(col("turnleft")).count() === 1L)
     // A right turn (east then south) must NOT count.
     val rightTurn = (0 until 30).map(f => (2L, f, 8L, "car", 0.0 + 0.8 * f, 0.0)) ++
       (30 until 60).map(f => (2L, f, 8L, "car", 24.0, -0.8 * (f - 30)))
     val agg2 = QueryEngine.aggregates(QueryEngine.enrich(
-      rightTurn.toDF("sceneId", "frameIdx", "oid", "otype", "x", "y"), fps))
+      rightTurn.toDF("sceneId", "frameIdx", "oid", "otype", "x", "y")))
     assert(agg2.filter(col("turnleft")).count() === 0L)
   }
 

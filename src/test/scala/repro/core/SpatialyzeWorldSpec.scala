@@ -96,6 +96,16 @@ class SpatialyzeWorldSpec extends SparkSpec {
     assert(objs.columns.toSet === Set("sceneId", "oid", "frameIdx", "otype", "x", "y"))
   }
 
+  test("repeated observe() calls leave no temp views behind") {
+    val catalog = spark.sessionState.catalog
+    val before  = catalog.listLocalTempViews("*").size
+    // Q9's turn-left predicate also registers a track-aggregates view.
+    Seq(Queries.q5, Queries.q9, Queries.q5, Queries.q9, Queries.q5).zipWithIndex.foreach { case (q, i) =>
+      world().filter(q.pred).observe(PlanConfig.all, s"${q.name}r$i").rows.count()
+    }
+    assert(catalog.listLocalTempViews("*").size === before)
+  }
+
   test("chained filters conjoin") {
     val single = world().filter(Queries.q5.pred).observe(PlanConfig.all, "Q5s").rows.count()
     val chained = world()

@@ -2,7 +2,7 @@ package repro.world
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
-import repro.geom.Vec2
+import repro.geom.{Polygon, Vec2}
 
 class RoadNetworkSpec extends SparkSpec {
 
@@ -77,7 +77,8 @@ class RoadNetworkSpec extends SparkSpec {
     val df = net.toDF(spark)
     assert(df.count() === net.segments.size.toLong)
     val row = df.filter(df("rtype") === "intersection").orderBy("rid").collect()(0)
-    assert(row.getAs[Double]("maxx") - row.getAs[Double]("minx") === 2 * params.laneWidth)
+    val polygon = Polygon(row.getAs[Seq[Double]]("xs").toArray, row.getAs[Seq[Double]]("ys").toArray)
+    assert(polygon.maxX - polygon.minX === 2 * params.laneWidth)
     val headings = df.filter(df("rtype") === "lane").select("heading").collect()
     assert(headings.forall(!_.isNullAt(0)))
   }
