@@ -23,8 +23,13 @@ final case class QueryResult(rows: DataFrame, rowsExamined: Long, sql: String)
   *
   * The paper's MobilityDB indexes map to: temporal index ⇒ every
   * multi-object self-join carries (sceneId, frameIdx) equi-join keys;
-  * spatial index ⇒ the Catalyst SpatialPrefilterRule turns each
-  * `st_contains` into a bbox check + exact test.
+  * spatial index ⇒ the road network is broadcast to every construct
+  * join, and the Catalyst SpatialPrefilterRule turns each `st_contains`
+  * into a bbox check + exact test, the join's condition.
+  *
+  * Like the video processor (§5.2.2), the plan keeps only the operators
+  * the predicate needs: object headings (a window over each track) are
+  * derived only when the predicate reads headings or trajectories.
   */
 object QueryEngine {
 
@@ -100,7 +105,10 @@ object QueryEngine {
     val cs    = Pred.conjuncts(pred)
 
     val tag = s"v${viewCounter.incrementAndGet()}"
-    val enriched = enrich(objs).persist()
+    // Headings only for predicates that read them. Without tracking every
+    // oid is a single detection, whose heading would be null anyway.
+    val enriched = Option.when(query.requirements.needsTracking)(enrich(objs).persist())
+    val samples  = enriched.getOrElse(objs)
 
     def aggPreds(p: Pred): Seq[ObjRef] = p match {
       case TurnLeft(o) => Seq(o)
@@ -111,8 +119,11 @@ object QueryEngine {
     }
     val aggObjs  = aggPreds(pred).distinct
     val needsAgg = aggObjs.nonEmpty
-    val views = Seq(s"objs_$tag" -> enriched, s"cams_$tag" -> cams, s"roads_$tag" -> roads) ++
-      (if (needsAgg) Seq(s"agg_$tag" -> aggregates(enriched)) else Nil)
+    // The road network is small and static: broadcast it, so each
+    // construct reference plans as a nested-loop join whose condition is
+    // the bbox prefilter + exact test, not as a Cartesian product.
+    val views = Seq(s"objs_$tag" -> samples, s"cams_$tag" -> cams, s"roads_$tag" -> broadcast(roads)) ++
+      (if (needsAgg) Seq(s"agg_$tag" -> aggregates(samples)) else Nil)
     views.foreach { case (name, df) => df.createOrReplaceTempView(name) }
 
     def alias(t: Term): String = t match {
@@ -181,7 +192,7 @@ object QueryEngine {
     // Modelled candidate-row count: frame-aligned object tuples times the
     // bbox-prefiltered construct candidates (~4 per construct ref).
     val k = math.max(1, objRs.size)
-    val sumNk = enriched.groupBy("sceneId", "frameIdx").count()
+    val sumNk = samples.groupBy("sceneId", "frameIdx").count()
       .agg(sum(pow(col("count"), lit(k.toDouble)))).collect()(0)
     val base = if (sumNk.isNullAt(0)) 0.0 else sumNk.getDouble(0)
     val rowsExamined = (base * math.pow(4.0, geoRs.size)).toLong
@@ -190,7 +201,7 @@ object QueryEngine {
     // uncache a caller's cached `cams` or `roads`). The counted `rows`
     // keep their cached blocks without `enriched`.
     views.foreach { case (name, _) => spark.sessionState.catalog.dropTempView(name) }
-    enriched.unpersist()
+    enriched.foreach(_.unpersist())
     QueryResult(rows, rowsExamined, sql)
   }
 }

@@ -58,6 +58,13 @@ final class SpatialyzeWorld(spark: SparkSession, val fps: Double = 12.0) {
     val frames  = framesDf.getOrElse(throw new IllegalStateException("addVideo first"))
     val gt      = gtDf.getOrElse(throw new IllegalStateException("addVideo first"))
     val query   = currentQuery(name)
+    // A construct type the network lacks would only prune every frame and
+    // match nothing; reject it here, before any Spark job.
+    val known   = network.segments.map(_.rtype).distinct.sorted
+    val unknown = query.requirements.geoRefs.map(_.geoType).distinct.filterNot(known.contains)
+    require(unknown.isEmpty,
+      s"unknown construct type ${unknown.mkString("'", "', '", "'")}; the road network has " +
+        (if (known.isEmpty) "no constructs" else known.mkString("'", "', '", "'")))
 
     val proc = VideoProcessor.run(spark, frames, gt, network, query, config, fps)
     val qr   = QueryEngine.run(spark, query, proc.objs, QueryEngine.cams(frames), network.toDF(spark), fps)

@@ -8,7 +8,9 @@ final case class PlanRequirements(
     objRefs: Seq[ObjRef],
     geoRefs: Seq[GeoRef],
     usesCamera: Boolean,
-    /** Tracking (and thus object headings/trajectories) required? */
+    /** Tracking (and thus object headings/trajectories) required? The
+      * query engine derives headings only when this holds.
+      */
     needsTracking: Boolean,
     /** Union of required object types, if every object ref is
       * type-constrained (the Object Type Pruner's applicability condition).
@@ -46,13 +48,18 @@ object Analyzer {
     val geos    = Pred.geoRefs(pred)
     val usesCam = Pred.usesCamera(pred)
 
-    val needsTracking = cs.exists {
+    // Object headings and trajectory aggregates come from tracks, under
+    // an `Or` as much as at the top level.
+    def readsTracks(p: Pred): Boolean = p match {
       case HeadingDiffBetween(a, b, _, _) =>
         Seq(a, b).exists(_.isInstanceOf[ObjRef])
       case _: TurnLeft => true
       case _: Stopped  => true
+      case And(ps)     => ps.exists(readsTracks)
+      case Or(ps)      => ps.exists(readsTracks)
       case _           => false
     }
+    val needsTracking = readsTracks(pred)
 
     // OTP: every object ref must be type-constrained by a conjunct,
     // otherwise an unconstrained object may be of any type and nothing

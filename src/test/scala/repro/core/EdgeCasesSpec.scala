@@ -17,13 +17,40 @@ class EdgeCasesSpec extends SparkSpec {
     new SpatialyzeWorld(spark, p.fps).addGeogConstructs(net).addVideo(frames, gt)
 
   test("a query on a construct type that never appears prunes every frame and returns nothing") {
+    // observe() rejects such a query up front (below); the layers it would
+    // run are safe on their own.
     val car = ObjRef("car")
-    val pred = Pred.and(TypeIs(car, Set("car")),
-                        Contains(GeoRef("g", "heliport"), Seq(car)),
-                        DistanceLt(CamRef, car, 50.0))
-    val res = world().filter(pred).observe(PlanConfig.all, "edge1")
-    assert(res.stats.framesAfterRvp === 0L, "RVP prunes everything: no heliport exists")
-    assert(res.rows.count() === 0L)
+    val query = Query("edge1", "edge1", Pred.and(TypeIs(car, Set("car")),
+                                                 Contains(GeoRef("g", "heliport"), Seq(car)),
+                                                 DistanceLt(CamRef, car, 50.0)))
+    val proc = VideoProcessor.run(spark, frames, gt, net, query, PlanConfig.all, p.fps)
+    assert(proc.stats.framesAfterRvp === 0L, "RVP prunes everything: no heliport exists")
+    val qr = QueryEngine.run(spark, query, proc.objs, QueryEngine.cams(frames), net.toDF(spark), p.fps)
+    assert(qr.rows.count() === 0L)
+  }
+
+  test("observe() rejects an unknown construct type, naming it and the known ones, before any Spark job") {
+    val car = ObjRef("car")
+    val typo = world().filter(Pred.and(TypeIs(car, Set("car")),
+                                       Contains(GeoRef("l", "lanee"), Seq(car))))
+    val sc = spark.sparkContext
+    val group = "edge-unknown-construct"
+    sc.setJobGroup(group, group)
+    val e = try intercept[IllegalArgumentException](typo.observe(PlanConfig.all, "edge-typo"))
+            finally sc.clearJobGroup()
+    assert(e.getMessage.contains("'lanee'"), e.getMessage)
+    Seq("bikeLane", "intersection", "lane", "lanegroup", "roadsection")
+      .foreach(t => assert(e.getMessage.contains(s"'$t'"), e.getMessage))
+    // Job-start events reach the status tracker asynchronously but in
+    // order: once a later marker job shows, any job of `group` would too.
+    val marker = s"$group-marker"
+    sc.setJobGroup(marker, marker)
+    try sc.parallelize(Seq(1), 1).count() finally sc.clearJobGroup()
+    val deadline = System.nanoTime() + 10e9.toLong
+    while (sc.statusTracker.getJobIdsForGroup(marker).isEmpty && System.nanoTime() < deadline)
+      Thread.sleep(20)
+    assert(sc.statusTracker.getJobIdsForGroup(marker).nonEmpty)
+    assert(sc.statusTracker.getJobIdsForGroup(group).isEmpty, "the check ran a Spark job")
   }
 
   test("a query on an object type that never appears returns nothing but runs") {

@@ -1,6 +1,12 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.execution.SparkPlan
+import org.apache.spark.sql.execution.adaptive.{AdaptiveSparkPlanExec, QueryStageExec}
+import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
+import org.apache.spark.sql.execution.exchange.ReusedExchangeExec
+import org.apache.spark.sql.execution.joins.{BroadcastNestedLoopJoinExec, CartesianProductExec}
+import org.apache.spark.sql.execution.window.WindowExec
 import org.apache.spark.sql.functions._
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{Oracle, SparkSpec}
@@ -46,6 +52,41 @@ class QueryEngineSpec extends SparkSpec {
   }
 
   private def q(name: String, pred: Pred): Query = Query(name, name, pred)
+
+  /** One row per object sample with the spatial predicates precomputed in
+    * Spark: `inside` (some construct of `rtype` contains it) and `near`
+    * (within 50 m of the camera), as strings. DuckDB then checks the
+    * relational plan (joins, distinct, filters) over this table.
+    */
+  private def flatSamples(rtype: String): DataFrame = {
+    repro.catalyst.SpatialFunctions.register(spark)
+    objs.createOrReplaceTempView("oracle_objs")
+    cams.createOrReplaceTempView("oracle_cams")
+    roadsDf.createOrReplaceTempView("oracle_roads")
+    spark.sql(
+      s"""SELECT o.sceneId, o.frameIdx, o.oid, o.otype,
+                 CAST(MAX(CASE WHEN r.rtype = '$rtype'
+                               AND st_contains(r.xs, r.ys, o.x, o.y) THEN 1 ELSE 0 END) AS STRING) AS inside,
+                 CAST(MAX(CASE WHEN st_distance(o.x, o.y, c.x, c.y) < 50.0 THEN 1 ELSE 0 END) AS STRING) AS near
+          FROM oracle_objs o
+          JOIN oracle_cams c ON c.sceneId = o.sceneId AND c.frameIdx = o.frameIdx
+          CROSS JOIN oracle_roads r
+          GROUP BY o.sceneId, o.frameIdx, o.oid, o.otype""")
+  }
+
+  /** Every operator of the plan that computed `df`, looking through
+    * adaptive query stages and into the plans of cached relations.
+    */
+  private def operators(df: DataFrame): Seq[SparkPlan] = {
+    def walk(p: SparkPlan): Seq[SparkPlan] = p match {
+      case a: AdaptiveSparkPlanExec => walk(a.executedPlan)
+      case s: QueryStageExec        => walk(s.plan)
+      case r: ReusedExchangeExec    => walk(r.child)
+      case m: InMemoryTableScanExec => m +: walk(m.relation.cachedPlan)
+      case other                    => other +: other.children.flatMap(walk)
+    }
+    walk(df.queryExecution.executedPlan)
+  }
 
   test("enrich derives headings from track displacement") {
     val e = QueryEngine.enrich(objs)
@@ -107,21 +148,7 @@ class QueryEngineSpec extends SparkSpec {
                         DistanceLt(CamRef, person, 50.0))
     val res = QueryEngine.run(spark, q("tq2", pred), objs, cams, roadsDf, fps)
 
-    // Precompute the spatial predicates in Spark; DuckDB then verifies the
-    // relational plan (joins, distinct, filters) over the exported table.
-    repro.catalyst.SpatialFunctions.register(spark)
-    objs.createOrReplaceTempView("oracle_objs")
-    cams.createOrReplaceTempView("oracle_cams")
-    roadsDf.createOrReplaceTempView("oracle_roads")
-    val flat = spark.sql(
-      """SELECT o.sceneId, o.frameIdx, o.oid, o.otype,
-                CAST(MAX(CASE WHEN r.rtype = 'intersection'
-                              AND st_contains(r.xs, r.ys, o.x, o.y) THEN 1 ELSE 0 END) AS STRING) AS in_i,
-                CAST(MAX(CASE WHEN st_distance(o.x, o.y, c.x, c.y) < 50.0 THEN 1 ELSE 0 END) AS STRING) AS near
-         FROM oracle_objs o
-         JOIN oracle_cams c ON c.sceneId = o.sceneId AND c.frameIdx = o.frameIdx
-         CROSS JOIN oracle_roads r
-         GROUP BY o.sceneId, o.frameIdx, o.oid, o.otype""")
+    val flat = flatSamples("intersection")
     val sparkSide = res.rows.select(
       col("sceneId").cast("long").as("sceneid"),
       col("frameIdx").cast("long").as("frameidx"),
@@ -129,8 +156,59 @@ class QueryEngineSpec extends SparkSpec {
     Oracle.assertEquivalent(sparkSide,
       """SELECT DISTINCT CAST(sceneId AS BIGINT) AS sceneid, CAST(frameIdx AS BIGINT) AS frameidx,
                          CAST(oid AS BIGINT) AS p_oid
-         FROM flat WHERE otype = 'pedestrian' AND in_i = '1' AND near = '1'""",
+         FROM flat WHERE otype = 'pedestrian' AND inside = '1' AND near = '1'""",
       "flat" -> flat)
+  }
+
+  test("a two-construct query (two cars, each on a lane) cross-checked against DuckDB") {
+    val c1 = ObjRef("c1"); val c2 = ObjRef("c2")
+    val pred = Pred.and(TypeIs(c1, Set("car")), TypeIs(c2, Set("car")),
+                        Contains(GeoRef("l1", "lane"), Seq(c1)),
+                        Contains(GeoRef("l2", "lane"), Seq(c2)),
+                        DistanceLt(CamRef, c1, 50.0), DistanceLt(CamRef, c2, 50.0))
+    val res = QueryEngine.run(spark, q("tq12", pred), objs, cams, roadsDf, fps)
+    val sparkSide = res.rows.select(
+      col("sceneId").cast("long").as("sceneid"),
+      col("frameIdx").cast("long").as("frameidx"),
+      col("c1_oid").cast("long").as("c1_oid"),
+      col("c2_oid").cast("long").as("c2_oid"))
+    // The two through cars share lanes for part of their crossing.
+    assert(sparkSide.count() > 0L)
+    Oracle.assertEquivalent(sparkSide,
+      """SELECT DISTINCT CAST(a.sceneId AS BIGINT) AS sceneid, CAST(a.frameIdx AS BIGINT) AS frameidx,
+                         CAST(a.oid AS BIGINT) AS c1_oid, CAST(b.oid AS BIGINT) AS c2_oid
+         FROM flat a JOIN flat b
+           ON b.sceneId = a.sceneId AND b.frameIdx = a.frameIdx AND b.oid <> a.oid
+         WHERE a.otype = 'car' AND b.otype = 'car' AND a.inside = '1' AND b.inside = '1'
+           AND a.near = '1' AND b.near = '1'""",
+      "flat" -> flatSamples("lane"))
+  }
+
+  test("construct joins broadcast the road network, and only heading predicates run a window") {
+    // Q5-Q8 read no heading: one broadcast nested-loop join per construct
+    // reference (Q8 has three), no Cartesian product, no window.
+    for (query <- Seq(Queries.q5, Queries.q6, Queries.q7, Queries.q8)) {
+      val ops = operators(QueryEngine.run(spark, query, objs, cams, roadsDf, fps).rows)
+      val names = ops.map(_.nodeName)
+      assert(!ops.exists(_.isInstanceOf[CartesianProductExec]), s"${query.name}: $names")
+      assert(!ops.exists(_.isInstanceOf[WindowExec]), s"${query.name}: $names")
+      assert(ops.count(_.isInstanceOf[BroadcastNestedLoopJoinExec]) === Pred.geoRefs(query.pred).size,
+             s"${query.name}: $names")
+    }
+    // Q1 compares an object's heading with the camera's: it keeps its window.
+    val ops = operators(QueryEngine.run(spark, Queries.q1, objs, cams, roadsDf, fps).rows)
+    assert(ops.exists(_.isInstanceOf[WindowExec]), s"headings need the window: ${ops.map(_.nodeName)}")
+    assert(!ops.exists(_.isInstanceOf[CartesianProductExec]), ops.map(_.nodeName).toString)
+  }
+
+  test("heading and trajectory predicates under an Or still get headings") {
+    val c1 = ObjRef("c1"); val c2 = ObjRef("c2")
+    val pred = Pred.and(TypeIs(c1, Set("car")), TypeIs(c2, Set("car")),
+                        Or(Seq(Pred.opposite(c1, c2), Stopped(c1))),
+                        DistanceLt(CamRef, c1, 50.0), DistanceLt(CamRef, c2, 50.0))
+    val res = QueryEngine.run(spark, q("tq16", pred), objs, cams, roadsDf, fps)
+    val c1s = res.rows.select("c1_oid").distinct().collect().map(_.getLong(0)).toSet
+    assert(c1s === Set(1L, 2L, 4L), "the crossing cars are opposite; the bike-lane car is stopped")
   }
 
   test("two-object opposite-direction query finds the crossing cars and not the parked one") {

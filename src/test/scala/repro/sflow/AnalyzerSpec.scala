@@ -52,6 +52,16 @@ class AnalyzerSpec extends AnyFunSuite {
     assert(!req.needsTracking, "camera heading is metadata; no object trajectory involved")
   }
 
+  test("heading and trajectory predicates under an Or require tracking") {
+    val car2 = ObjRef("car2")
+    assert(Analyzer.analyze(And(Seq(TypeIs(car, Set("car")),
+                                    Or(Seq(TurnLeft(car), Contains(inter, Seq(car))))))).needsTracking)
+    assert(Analyzer.analyze(And(Seq(TypeIs(car, Set("car")), TypeIs(car2, Set("car")),
+                                    Or(Seq(Contains(lane, Seq(car)),
+                                           And(Seq(Stopped(car2), opposite(car, car2)))))))).needsTracking)
+    assert(!Analyzer.analyze(Or(Seq(TypeIs(car, Set("car")), opposite(lane, CamRef)))).needsTracking)
+  }
+
   test("turnLeft and stopped require tracking") {
     assert(Analyzer.analyze(And(Seq(TypeIs(car, Set("car")), TurnLeft(car)))).needsTracking)
     assert(Analyzer.analyze(And(Seq(TypeIs(car, Set("car")), Stopped(car)))).needsTracking)
