@@ -62,14 +62,17 @@ object OutputComposer {
   }
 
   /** The matched Movable Objects themselves (getObjects): their full
-    * per-frame samples, restricted to the matched object ids.
+    * per-frame samples (sceneId, frameIdx, oid, otype, x, y), restricted
+    * to the matched object ids. The query engine's derived columns of
+    * `objs` are not part of a sample.
     */
   def getObjects(resultRows: DataFrame, objs: DataFrame): DataFrame = {
+    val samples = objs.select("sceneId", "frameIdx", "oid", "otype", "x", "y")
     val oidCols = resultRows.columns.filter(_.endsWith("_oid"))
-    if (oidCols.isEmpty) return objs.limit(0)
+    if (oidCols.isEmpty) return samples.limit(0)
     val matchedOids = oidCols.map { c =>
       resultRows.select(col("sceneId"), col(c).as("oid"))
     }.reduce(_ union _).distinct()
-    objs.join(matchedOids, Seq("sceneId", "oid"))
+    samples.join(matchedOids, Seq("sceneId", "oid"))
   }
 }

@@ -3,7 +3,6 @@ package repro.core
 import java.util.concurrent.atomic.AtomicLong
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import repro.catalyst.SpatialFunctions
 import repro.sflow._
@@ -25,39 +24,16 @@ final case class QueryResult(rows: DataFrame, rowsExamined: Long, sql: String)
   * multi-object self-join carries (sceneId, frameIdx) equi-join keys;
   * spatial index ⇒ the road network is broadcast to every construct
   * join, and the Catalyst SpatialPrefilterRule turns each `st_contains`
-  * into a bbox check + exact test, the join's condition.
+  * into a bbox check + exact test, the join's condition. The camera
+  * table, one row per frame, is broadcast too.
   *
-  * Like the video processor (§5.2.2), the plan keeps only the operators
-  * the predicate needs: object headings (a window over each track) are
-  * derived only when the predicate reads headings or trajectories.
+  * Headings, trajectory flags and per-frame sample counts are scene-local
+  * facts: the video processor's scene pass derives them (§5.2.2), and the
+  * engine reads them as columns of `objs`.
   */
 object QueryEngine {
 
   private val viewCounter = new AtomicLong()
-
-  /** Headings are computed over a `HeadingLag`-row baseline so estimation
-    * noise does not dominate short inter-frame displacements.
-    */
-  val HeadingLag        = 6   // ~0.5 s at 12 fps: pedestrians move ~0.8 m
-  val MinHeadingDistM   = 0.5
-  val TurnLeftMinDeg    = 40.0
-  val StoppedMaxDispM   = 3.0
-  val StoppedMinSamples = 8
-
-  /** Enrich Movable-Objects samples with a derived heading (degrees CCW
-    * from +x) from the track geometry.
-    */
-  def enrich(objs: DataFrame): DataFrame = {
-    val w = Window.partitionBy("sceneId", "oid").orderBy("frameIdx")
-    objs
-      .withColumn("_px", lag("x", HeadingLag).over(w))
-      .withColumn("_py", lag("y", HeadingLag).over(w))
-      .withColumn("_d", sqrt(pow(col("x") - col("_px"), 2) + pow(col("y") - col("_py"), 2)))
-      .withColumn("heading",
-        when(col("_d") >= MinHeadingDistM,
-             pmod(degrees(atan2(col("y") - col("_py"), col("x") - col("_px"))), lit(360.0))))
-      .drop("_px", "_py", "_d")
-  }
 
   /** The camera table `run` joins: one row per frame, the ego camera's
     * ground position and heading.
@@ -66,32 +42,11 @@ object QueryEngine {
     frames.select(col("sceneId"), col("frameIdx"), col("camX").as("x"), col("camY").as("y"),
                   col("camYaw").as("heading"))
 
-  /** Per-track aggregates for trajectory predicates (turnLeft, stopped). */
-  def aggregates(objs: DataFrame): DataFrame = {
-    val w = Window.partitionBy("sceneId", "oid").orderBy("frameIdx")
-    objs
-      .withColumn("_ph", lag("heading", 1).over(w))
-      .withColumn("_sd",
-        when(col("heading").isNotNull && col("_ph").isNotNull,
-             pmod(col("heading") - col("_ph") + 540.0, lit(360.0)) - 180.0).otherwise(0.0))
-      .withColumn("_sdc", when(abs(col("_sd")) < 60.0, col("_sd")).otherwise(0.0))
-      .groupBy("sceneId", "oid")
-      .agg(
-        sum("_sdc").as("netTurn"),
-        count("*").as("nSamples"),
-        (max("x") - min("x")).as("_dx"),
-        (max("y") - min("y")).as("_dy"))
-      .withColumn("turnleft", col("netTurn") >= TurnLeftMinDeg)
-      .withColumn("stopped",
-        sqrt(pow(col("_dx"), 2) + pow(col("_dy"), 2)) < StoppedMaxDispM &&
-          col("nSamples") >= StoppedMinSamples)
-      .select("sceneId", "oid", "turnleft", "stopped")
-  }
-
   private def sqlLit(s: String): String = "'" + s.replace("'", "''") + "'"
 
   /** Compile the predicate into SQL and execute it. `objs` must have
-    * columns (sceneId, frameIdx, oid, otype, x, y); `cams`
+    * columns (sceneId, frameIdx, oid, otype, x, y, heading, turnleft,
+    * stopped, nFrame), as `VideoProcessor.run` emits them; `cams`
     * (sceneId, frameIdx, x, y, heading); `roads` the RoadNetwork table.
     * The temp views it registers are dropped before it returns; `rows`
     * stays cached.
@@ -105,25 +60,11 @@ object QueryEngine {
     val cs    = Pred.conjuncts(pred)
 
     val tag = s"v${viewCounter.incrementAndGet()}"
-    // Headings only for predicates that read them. Without tracking every
-    // oid is a single detection, whose heading would be null anyway.
-    val enriched = Option.when(query.requirements.needsTracking)(enrich(objs).persist())
-    val samples  = enriched.getOrElse(objs)
-
-    def aggPreds(p: Pred): Seq[ObjRef] = p match {
-      case TurnLeft(o) => Seq(o)
-      case Stopped(o)  => Seq(o)
-      case And(ps)     => ps.flatMap(aggPreds)
-      case Or(ps)      => ps.flatMap(aggPreds)
-      case _           => Nil
-    }
-    val aggObjs  = aggPreds(pred).distinct
-    val needsAgg = aggObjs.nonEmpty
-    // The road network is small and static: broadcast it, so each
-    // construct reference plans as a nested-loop join whose condition is
-    // the bbox prefilter + exact test, not as a Cartesian product.
-    val views = Seq(s"objs_$tag" -> samples, s"cams_$tag" -> cams, s"roads_$tag" -> broadcast(roads)) ++
-      (if (needsAgg) Seq(s"agg_$tag" -> aggregates(samples)) else Nil)
+    // The road network and the camera table are small: broadcast them, so
+    // each construct reference plans as a nested-loop join whose condition
+    // is the bbox prefilter + exact test, not as a Cartesian product, and
+    // the camera joins without a shuffle.
+    val views = Seq(s"objs_$tag" -> objs, s"cams_$tag" -> broadcast(cams), s"roads_$tag" -> broadcast(roads))
     views.foreach { case (name, df) => df.createOrReplaceTempView(name) }
 
     def alias(t: Term): String = t match {
@@ -135,7 +76,7 @@ object QueryEngine {
     def headingCol(t: Term): String = s"${alias(t)}.heading"
 
     // FROM: anchor object, then frame-aligned self-joins (the temporal
-    // index), the camera, the construct candidates, and track aggregates.
+    // index), the camera and the construct candidates.
     val anchor = objRs.headOption.map(alias).getOrElse("cam")
     val from   = new StringBuilder
     objRs.headOption match {
@@ -153,12 +94,6 @@ object QueryEngine {
     geoRs.foreach { g =>
       from ++= s"\n  JOIN roads_$tag ${alias(g)} ON ${alias(g)}.rtype = ${sqlLit(g.geoType)}"
     }
-    if (needsAgg) {
-      aggObjs.foreach { o =>
-        from ++= s"\n  JOIN agg_$tag ag_${alias(o)} ON ag_${alias(o)}.sceneId = $anchor.sceneId" +
-          s" AND ag_${alias(o)}.oid = ${alias(o)}.oid"
-      }
-    }
 
     def compile(p: Pred): String = p match {
       case TypeIs(o, ts) =>
@@ -173,8 +108,8 @@ object QueryEngine {
         s"st_distance($ax, $ay, $bx, $by) < $d"
       case HeadingDiffBetween(a, b, lo, hi) =>
         s"heading_diff(${headingCol(a)}, ${headingCol(b)}) BETWEEN $lo AND $hi"
-      case TurnLeft(o) => s"ag_${alias(o)}.turnleft"
-      case Stopped(o)  => s"ag_${alias(o)}.stopped"
+      case TurnLeft(o) => s"${alias(o)}.turnleft"
+      case Stopped(o)  => s"${alias(o)}.stopped"
       case And(ps)     => ps.map(q => s"(${compile(q)})").mkString(" AND ")
       case Or(ps)      => ps.map(q => s"(${compile(q)})").mkString(" OR ")
     }
@@ -191,17 +126,16 @@ object QueryEngine {
 
     // Modelled candidate-row count: frame-aligned object tuples times the
     // bbox-prefiltered construct candidates (~4 per construct ref).
+    // Σ_f n_f^k = Σ over samples of n_f^(k−1): one global sum, no shuffle
+    // by frame.
     val k = math.max(1, objRs.size)
-    val sumNk = samples.groupBy("sceneId", "frameIdx").count()
-      .agg(sum(pow(col("count"), lit(k.toDouble)))).collect()(0)
+    val sumNk = objs.agg(sum(pow(col("nFrame"), lit((k - 1).toDouble)))).collect()(0)
     val base = if (sumNk.isNullAt(0)) 0.0 else sumNk.getDouble(0)
     val rowsExamined = (base * math.pow(4.0, geoRs.size)).toLong
 
     // Drop the names only (`spark.catalog.dropTempView` would also
-    // uncache a caller's cached `cams` or `roads`). The counted `rows`
-    // keep their cached blocks without `enriched`.
+    // uncache a caller's cached `cams` or `roads`).
     views.foreach { case (name, _) => spark.sessionState.catalog.dropTempView(name) }
-    enriched.foreach(_.unpersist())
     QueryResult(rows, rowsExamined, sql)
   }
 }

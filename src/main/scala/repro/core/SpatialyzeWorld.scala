@@ -11,6 +11,14 @@ import repro.world.RoadNetwork
 final case class ObserveResult(rows: DataFrame, objs: DataFrame, stats: RunStats,
                                sql: String, process: ProcessResult) {
   def workflowMs: Double = CostModel.workflowMs(stats)
+
+  /** Free what the workflow cached: the scene pass and the query engine's
+    * `rows`. `rows` and `objs` stay usable; reading them again recomputes.
+    */
+  def release(): Unit = {
+    rows.unpersist(blocking = false)
+    process.release()
+  }
 }
 
 /** The build–filter–observe facade (paper §3, §4.2.4).
@@ -78,9 +86,13 @@ final class SpatialyzeWorld(spark: SparkSession, val fps: Double = 12.0) {
     (OutputComposer.getObjects(res.rows, res.objs), res)
   }
 
-  /** Observe by saving matching video snippets (manifests — no pixels). */
+  /** Observe by saving matching video snippets (manifests — no pixels).
+    * Once the manifest is written, the workflow's cache is released.
+    */
   def saveVideos(path: String, config: PlanConfig = PlanConfig.all): (Seq[Snippet], ObserveResult) = {
-    val res = observe(config)
-    (OutputComposer.saveVideos(res.rows, path), res)
+    val res   = observe(config)
+    val snips = OutputComposer.saveVideos(res.rows, path)
+    res.release()
+    (snips, res)
   }
 }

@@ -4,7 +4,7 @@ import scala.reflect.ClassTag
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.functions.{col, isnan, when}
 import repro.sflow.Query
 import repro.track.{SortTracker, TrackedRow}
 import repro.video.{Estimators, RunStats, SimDetector}
@@ -20,14 +20,26 @@ object PlanConfig {
   val all: PlanConfig      = PlanConfig(rvp = true, otp = true, geom3d = true, efs = true)
 }
 
+/** One Movable-Objects sample as the scene pass emits it: the tracker's
+  * row plus the scene-local facts the query engine reads. `heading` is
+  * NaN where the track has none; the `objs` projection makes it null.
+  */
+final case class ObjSample(sceneId: Long, frameIdx: Int, trackId: Long, did: Long, oid: Long,
+                           otype: String, estX: Double, estY: Double,
+                           heading: Double, turnleft: Boolean, stopped: Boolean, nFrame: Int)
+
 /** Output of the video processor: the Movable-Objects samples ready for
   * the query engine, plus execution statistics and the surviving frames
   * (needed by the output composer and the accuracy evaluation).
+  * `cached` is what the run persisted; `release()` frees it.
   */
 final case class ProcessResult(objs: DataFrame,
                                tracked: Option[DataFrame],
                                keptFrames: DataFrame,
-                               stats: RunStats)
+                               stats: RunStats,
+                               cached: Seq[RDD[_]] = Nil) {
+  def release(): Unit = cached.foreach(_.unpersist(blocking = false))
+}
 
 /** The Video Processor stage (§5.2.2): the streaming-operator plan
   * Decode → [RVP] → Detect → [OTP] → 3D-Estimate → [EFS] → Track, keeping
@@ -37,15 +49,27 @@ final case class ProcessResult(objs: DataFrame,
   *
   * Every scene is independent, so the plan runs as one pass per scene:
   * frames and latent states are cogrouped by scene once, and one task
-  * streams each scene's frames in order through the operators.
+  * streams each scene's frames in order through the operators. The same
+  * task derives, per track in frame order, the facts the query engine
+  * reads (headings, turn-left and stopped flags, samples per frame).
   */
 object VideoProcessor {
 
-  /** One scene's share of a run: the frames RVP kept, the output rows and
-    * the scene's unit counts. `rows` are the tracker's output when it ran;
-    * otherwise each detection stands alone, with its `did` as `trackId`.
+  /** Headings are computed over a `HeadingLag`-sample baseline so
+    * estimation noise does not dominate short inter-frame displacements.
     */
-  private final case class SceneOut(sceneId: Long, keptFrames: Vector[Int], rows: Vector[TrackedRow],
+  val HeadingLag        = 6   // ~0.5 s at 12 fps: pedestrians move ~0.8 m
+  val MinHeadingDistM   = 0.5
+  val TurnLeftMinDeg    = 40.0
+  val StoppedMaxDispM   = 3.0
+  val StoppedMinSamples = 8
+
+  /** One scene's share of a run: the frames RVP kept, the output samples
+    * and the scene's unit counts. The samples are the tracker's output
+    * when it ran; otherwise each detection stands alone, with its `did`
+    * as `trackId`.
+    */
+  private final case class SceneOut(sceneId: Long, keptFrames: Vector[Int], samples: Vector[ObjSample],
                                     stats: RunStats)
 
   /** The plan's operators, resolved once per run and shipped to the
@@ -79,11 +103,14 @@ object VideoProcessor {
     val scenes = byScene(frames, gtStates)(processScene(_, _, _, plan)).persist()
     val stats  = scenes.map(_.stats).collect().foldLeft(flags)(_ + _)
 
-    val rows = scenes.flatMap(_.rows).toDF()
-    val objs = rows.select(col("sceneId"), col("frameIdx"), col("trackId").as("oid"),
-                           col("otype"), col("estX").as("x"), col("estY").as("y"))
+    val samples = scenes.flatMap(_.samples).toDF()
+    val objs = samples.select(col("sceneId"), col("frameIdx"), col("trackId").as("oid"),
+                              col("otype"), col("estX").as("x"), col("estY").as("y"),
+                              when(!isnan(col("heading")), col("heading")).as("heading"),
+                              col("turnleft"), col("stopped"), col("nFrame"))
+    val tracked = samples.select("sceneId", "frameIdx", "trackId", "did", "oid", "otype", "estX", "estY")
     val keptFrames = scenes.flatMap(s => s.keptFrames.map(f => (s.sceneId, f))).toDF("sceneId", "frameIdx")
-    ProcessResult(objs, Option.when(req.needsTracking)(rows), keptFrames, stats)
+    ProcessResult(objs, Option.when(req.needsTracking)(tracked), keptFrames, stats, Seq(scenes))
   }
 
   /** Cogroup frames and latent states by scene, and make one row per scene
@@ -137,12 +164,65 @@ object VideoProcessor {
         (dets3d.map(d => TrackedRow(d.sceneId, d.frameIdx, d.did, d.did, d.oid, d.otype, d.estX, d.estY)),
          Vector.empty)
 
-    SceneOut(sceneId, kept.map(_.frameIdx), rows, plan.flags.copy(
+    SceneOut(sceneId, kept.map(_.frameIdx), withFacts(rows), plan.flags.copy(
       framesTotal = frames.size, framesAfterRvp = kept.size,
       detections = dets.size, detsAfterOtp = typed.size,
       depthFrames = depthDets.map(_.frameIdx).distinct.size,
       geomDets = if (geom) dets3d.count(_.method == "geom") else 0,
       trackerFrames = perFrame.size, trackerDets = perFrame.sum,
       trackerPairOps = perFrame.zip(perFrame.drop(1)).map { case (a, b) => a * b }.sum))
+  }
+
+  /** Spark's `pmod` on doubles. */
+  private def pmod(a: Double, n: Double): Double = {
+    val r = a % n
+    if (r < 0) (r + n) % n else r
+  }
+
+  /** Attach the query engine's facts to one scene's rows, keeping their
+    * order. Over each track in frame order: the heading (degrees CCW from
+    * +x) of the displacement from `HeadingLag` samples back, if at least
+    * `MinHeadingDistM`; `turnleft` when the net heading change, summing
+    * steps under 60°, reaches `TurnLeftMinDeg`; `stopped` when the track's
+    * bounding box diagonal is under `StoppedMaxDispM` over at least
+    * `StoppedMinSamples` samples. `nFrame` is the frame's sample count.
+    * The arithmetic is that of the equivalent Spark SQL expressions.
+    */
+  private[core] def withFacts(rows: Vector[TrackedRow]): Vector[ObjSample] = {
+    val heading  = Array.fill(rows.size)(Double.NaN)
+    val turnleft = new Array[Boolean](rows.size)
+    val stopped  = new Array[Boolean](rows.size)
+    val nFrame   = rows.groupMapReduce(_.frameIdx)(_ => 1)(_ + _)
+    rows.indices.groupBy(rows(_).trackId).valuesIterator.foreach { idx =>
+      val t = idx.sortBy(rows(_).frameIdx)
+      var netTurn = 0.0
+      var prev    = Double.NaN
+      t.indices.foreach { j =>
+        val r = rows(t(j))
+        if (j >= HeadingLag) {
+          val p  = rows(t(j - HeadingLag))
+          val dx = r.estX - p.estX
+          val dy = r.estY - p.estY
+          if (math.sqrt(StrictMath.pow(dx, 2) + StrictMath.pow(dy, 2)) >= MinHeadingDistM)
+            heading(t(j)) = pmod(math.toDegrees(math.atan2(dy + 0.0, dx + 0.0)), 360.0)
+        }
+        val h = heading(t(j))
+        if (!h.isNaN && !prev.isNaN) {
+          val step = pmod(h - prev + 540.0, 360.0) - 180.0
+          if (math.abs(step) < 60.0) netTurn += step
+        }
+        prev = h
+      }
+      val xs = t.map(rows(_).estX); val ys = t.map(rows(_).estY)
+      val dx = xs.max - xs.min;     val dy = ys.max - ys.min
+      val isStopped = math.sqrt(StrictMath.pow(dx, 2) + StrictMath.pow(dy, 2)) < StoppedMaxDispM &&
+        t.size >= StoppedMinSamples
+      t.foreach { i => turnleft(i) = netTurn >= TurnLeftMinDeg; stopped(i) = isStopped }
+    }
+    rows.indices.map { i =>
+      val r = rows(i)
+      ObjSample(r.sceneId, r.frameIdx, r.trackId, r.did, r.oid, r.otype, r.estX, r.estY,
+                heading(i), turnleft(i), stopped(i), nFrame(r.frameIdx))
+    }.toVector
   }
 }

@@ -7,10 +7,7 @@ package repro.sflow
 final case class PlanRequirements(
     objRefs: Seq[ObjRef],
     geoRefs: Seq[GeoRef],
-    usesCamera: Boolean,
-    /** Tracking (and thus object headings/trajectories) required? The
-      * query engine derives headings only when this holds.
-      */
+    /** Tracking (and thus object headings/trajectories) required? */
     needsTracking: Boolean,
     /** Union of required object types, if every object ref is
       * type-constrained (the Object Type Pruner's applicability condition).
@@ -46,7 +43,6 @@ object Analyzer {
     val cs      = Pred.conjuncts(pred)
     val objs    = Pred.objRefs(pred)
     val geos    = Pred.geoRefs(pred)
-    val usesCam = Pred.usesCamera(pred)
 
     // Object headings and trajectory aggregates come from tracks, under
     // an `Or` as much as at the top level.
@@ -91,7 +87,7 @@ object Analyzer {
     val geomApplicable = typesOfInterest.exists(_.subsetOf(GroundTypes))
     val efsApplicable  = needsTracking && typesOfInterest.exists(_.subsetOf(VehicleTypes))
 
-    PlanRequirements(objs, geos, usesCam, needsTracking, typesOfInterest,
+    PlanRequirements(objs, geos, needsTracking, typesOfInterest,
                      rvpTargets, geomApplicable, efsApplicable)
   }
 }

@@ -15,6 +15,18 @@ import org.scalatest.funsuite.AnyFunSuite
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
+  /** The number of Spark jobs `body` starts, counted by job group. */
+  def sparkJobs(group: String)(body: => Any): Int = {
+    val sc = spark.sparkContext
+    sc.setJobGroup(group, group)
+    try body finally sc.clearJobGroup()
+    // Job-start events reach the status tracker asynchronously.
+    val deadline = System.nanoTime() + 10e9.toLong
+    while (sc.statusTracker.getJobIdsForGroup(group).isEmpty && System.nanoTime() < deadline)
+      Thread.sleep(20)
+    sc.statusTracker.getJobIdsForGroup(group).length
+  }
+
   override def afterAll(): Unit = { super.afterAll() }
 }
 

@@ -137,8 +137,8 @@ class SpatialExpressionsSpec extends SparkSpec {
       val id = FunctionIdentifier(n)
       (reg.lookupFunctionBuilder(id).get, reg.lookupFunction(id).get)
     }
-    val objs  = spark.createDataFrame(Seq((0L, 0, 1L, "car", 0.0, 0.0)))
-      .toDF("sceneId", "frameIdx", "oid", "otype", "x", "y")
+    val objs  = repro.core.WindowReference.withFacts(spark.createDataFrame(Seq((0L, 0, 1L, "car", 0.0, 0.0)))
+      .toDF("sceneId", "frameIdx", "oid", "otype", "x", "y"))
     val cams  = spark.createDataFrame(Seq((0L, 0, 0.0, 0.0, 0.0))).toDF("sceneId", "frameIdx", "x", "y", "heading")
     val roads = RoadNetwork.grid(WorldParams.nuscenes(nScenes = 1).grid).toDF(spark)
     QueryEngine.run(spark, Queries.q6, objs, cams, roads, 12.0)

@@ -10,8 +10,9 @@ import repro.world.{FrameRow, RoadNetwork}
 
 /** Reference for `VideoProcessorEquivalenceSpec`: the video processor as a
   * chain of whole-DataFrame operators, one Spark stage per operator, with
-  * every unit counted by its own action. `VideoProcessor.run` must give
-  * the same statistics and rows.
+  * every unit counted by its own action, and the facts the query engine
+  * reads derived by `WindowReference`. `VideoProcessor.run` must give the
+  * same statistics and rows.
   */
 object DataFrameChainReference {
 
@@ -81,14 +82,14 @@ object DataFrameChainReference {
          if (pairRow.isNullAt(0)) 0L else pairRow.getLong(0))
       } else (None, 0L, 0L, 0L)
 
-    val objs = tracked match {
+    val objs = WindowReference.withFacts(tracked match {
       case Some(t) =>
         t.select(col("sceneId"), col("frameIdx"), col("trackId").as("oid"),
                  col("otype"), col("estX").as("x"), col("estY").as("y"))
       case None =>
         dets3d.select(col("sceneId"), col("frameIdx"), col("did").as("oid"),
                       col("otype"), col("estX").as("x"), col("estY").as("y"))
-    }
+    })
 
     val stats = RunStats(
       framesTotal = framesTotal, framesAfterRvp = framesAfterRvp,

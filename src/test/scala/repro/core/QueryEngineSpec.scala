@@ -5,16 +5,19 @@ import org.apache.spark.sql.execution.SparkPlan
 import org.apache.spark.sql.execution.adaptive.{AdaptiveSparkPlanExec, QueryStageExec}
 import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
 import org.apache.spark.sql.execution.exchange.ReusedExchangeExec
-import org.apache.spark.sql.execution.joins.{BroadcastNestedLoopJoinExec, CartesianProductExec}
+import org.apache.spark.sql.execution.joins.{BroadcastHashJoinExec, BroadcastNestedLoopJoinExec,
+                                              CartesianProductExec, SortMergeJoinExec}
 import org.apache.spark.sql.execution.window.WindowExec
 import org.apache.spark.sql.functions._
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{Oracle, SparkSpec}
 import repro.sflow._
+import repro.track.TrackedRow
 import repro.world.{GridParams, RoadNetwork}
 
 /** Engine-level tests over hand-crafted Movable-Objects tracks with known
-  * geometry; relational behaviour is cross-checked against DuckDB.
+  * geometry; relational behaviour is cross-checked against DuckDB. The
+  * tracks get the engine's derived columns from `WindowReference`.
   */
 class QueryEngineSpec extends SparkSpec {
 
@@ -29,18 +32,29 @@ class QueryEngineSpec extends SparkSpec {
     *  - oid 4: car stopped in the bike lane strip (y=+4.2)
     *  - oid 5: car driving east far from the intersection (y=-81.75)
     */
-  private lazy val objs: DataFrame = {
-    import spark.implicits._
-    val rows = (0 until 60).flatMap { f =>
-      Seq(
-        (0L, f, 1L, "car", 50.0 + 0.8 * f, -1.75),
-        (0L, f, 2L, "car", 110.0 - 0.8 * f, 1.75),
-        (0L, f, 3L, "pedestrian", 80.5, -6.0 + 0.15 * f),
-        (0L, f, 4L, "car", 40.0, 4.2),
-        (0L, f, 5L, "car", 30.0 + 0.8 * f, -81.75))
-    }
-    rows.toDF("sceneId", "frameIdx", "oid", "otype", "x", "y").persist()
+  private val tracks: Seq[(Long, Int, Long, String, Double, Double)] = (0 until 60).flatMap { f =>
+    Seq(
+      (0L, f, 1L, "car", 50.0 + 0.8 * f, -1.75),
+      (0L, f, 2L, "car", 110.0 - 0.8 * f, 1.75),
+      (0L, f, 3L, "pedestrian", 80.5, -6.0 + 0.15 * f),
+      (0L, f, 4L, "car", 40.0, 4.2),
+      (0L, f, 5L, "car", 30.0 + 0.8 * f, -81.75))
   }
+
+  /** A track that goes east then north (a left turn), and one that goes
+    * east then south (a right turn).
+    */
+  private val leftTurn  = (0 until 30).map(f => (1L, f, 9L, "car", 0.0 + 0.8 * f, 0.0)) ++
+    (30 until 60).map(f => (1L, f, 9L, "car", 24.0, 0.8 * (f - 30)))
+  private val rightTurn = (0 until 30).map(f => (2L, f, 8L, "car", 0.0 + 0.8 * f, 0.0)) ++
+    (30 until 60).map(f => (2L, f, 8L, "car", 24.0, -0.8 * (f - 30)))
+
+  private def samples(rows: Seq[(Long, Int, Long, String, Double, Double)]): DataFrame = {
+    import spark.implicits._
+    rows.toDF("sceneId", "frameIdx", "oid", "otype", "x", "y")
+  }
+
+  private lazy val objs: DataFrame = WindowReference.withFacts(samples(tracks)).persist()
 
   /** Static camera just west of the intersection, looking east, on the
     * eastbound lane.
@@ -75,21 +89,23 @@ class QueryEngineSpec extends SparkSpec {
   }
 
   /** Every operator of the plan that computed `df`, looking through
-    * adaptive query stages and into the plans of cached relations.
+    * adaptive query stages and into the plan of the cached `df` itself,
+    * but not into its cached inputs (the hand-made `objs`).
     */
   private def operators(df: DataFrame): Seq[SparkPlan] = {
-    def walk(p: SparkPlan): Seq[SparkPlan] = p match {
-      case a: AdaptiveSparkPlanExec => walk(a.executedPlan)
-      case s: QueryStageExec        => walk(s.plan)
-      case r: ReusedExchangeExec    => walk(r.child)
-      case m: InMemoryTableScanExec => m +: walk(m.relation.cachedPlan)
-      case other                    => other +: other.children.flatMap(walk)
+    def walk(p: SparkPlan, intoCache: Boolean): Seq[SparkPlan] = p match {
+      case a: AdaptiveSparkPlanExec => walk(a.executedPlan, intoCache)
+      case s: QueryStageExec        => walk(s.plan, intoCache)
+      case r: ReusedExchangeExec    => walk(r.child, intoCache)
+      case m: InMemoryTableScanExec =>
+        m +: (if (intoCache) walk(m.relation.cachedPlan, intoCache = false) else Nil)
+      case other                    => other +: other.children.flatMap(walk(_, intoCache))
     }
-    walk(df.queryExecution.executedPlan)
+    walk(df.queryExecution.executedPlan, intoCache = true)
   }
 
   test("enrich derives headings from track displacement") {
-    val e = QueryEngine.enrich(objs)
+    val e = WindowReference.enrich(samples(tracks))
     val h1 = e.filter(col("oid") === 1 && col("heading").isNotNull)
       .agg(avg("heading")).collect()(0).getDouble(0)
     assert(math.abs(h1 - 0.0) < 1.0, s"eastbound heading $h1")
@@ -99,30 +115,41 @@ class QueryEngineSpec extends SparkSpec {
   }
 
   test("enrich leaves stationary objects without a heading") {
-    val e = QueryEngine.enrich(objs)
+    val e = WindowReference.enrich(samples(tracks))
     assert(e.filter(col("oid") === 4 && col("heading").isNotNull).count() === 0L)
   }
 
   test("aggregates flag stopped tracks and only those") {
-    val agg = QueryEngine.aggregates(QueryEngine.enrich(objs))
+    val agg = WindowReference.aggregates(WindowReference.enrich(samples(tracks)))
     val stopped = agg.filter(col("stopped")).select("oid").collect().map(_.getLong(0)).toSet
     assert(stopped === Set(4L))
   }
 
   test("aggregates flag left turns") {
-    import spark.implicits._
-    // A track that goes east then north (a left turn).
-    val turn = (0 until 30).map(f => (1L, f, 9L, "car", 0.0 + 0.8 * f, 0.0)) ++
-      (30 until 60).map(f => (1L, f, 9L, "car", 24.0, 0.8 * (f - 30)))
-    val agg = QueryEngine.aggregates(QueryEngine.enrich(
-      turn.toDF("sceneId", "frameIdx", "oid", "otype", "x", "y")))
+    val agg = WindowReference.aggregates(WindowReference.enrich(samples(leftTurn)))
     assert(agg.filter(col("turnleft")).count() === 1L)
     // A right turn (east then south) must NOT count.
-    val rightTurn = (0 until 30).map(f => (2L, f, 8L, "car", 0.0 + 0.8 * f, 0.0)) ++
-      (30 until 60).map(f => (2L, f, 8L, "car", 24.0, -0.8 * (f - 30)))
-    val agg2 = QueryEngine.aggregates(QueryEngine.enrich(
-      rightTurn.toDF("sceneId", "frameIdx", "oid", "otype", "x", "y")))
+    val agg2 = WindowReference.aggregates(WindowReference.enrich(samples(rightTurn)))
     assert(agg2.filter(col("turnleft")).count() === 0L)
+  }
+
+  test("the scene pass derives the window reference's facts on the hand-made tracks") {
+    val all = tracks ++ leftTurn ++ rightTurn
+    val pass = all.groupBy(_._1).values.flatMap { scene =>
+      VideoProcessor.withFacts(scene.map { case (sid, f, oid, otype, x, y) =>
+        TrackedRow(sid, f, oid, oid, oid, otype, x, y) }.toVector)
+    }.map(s => (s.sceneId, s.frameIdx, s.trackId, Option.when(!s.heading.isNaN)(s.heading),
+                s.turnleft, s.stopped, s.nFrame)).toSet
+    val ref = WindowReference.withFacts(samples(all)).collect().map { r =>
+      (r.getLong(0), r.getInt(1), r.getLong(2), Option.unless(r.isNullAt(6))(r.getDouble(6)),
+       r.getBoolean(7), r.getBoolean(8), r.getInt(9))
+    }.toSet
+    assert(pass === ref)
+    def oids(p: ((Long, Int, Long, Option[Double], Boolean, Boolean, Int)) => Boolean) =
+      pass.filter(p).map(_._3)
+    assert(oids(_._6) === Set(4L), "only the parked car is stopped")
+    assert(oids(_._5) === Set(9L), "only the left turn turns left")
+    assert(oids(_._4.isEmpty).contains(4L) && !oids(_._4.nonEmpty).contains(4L))
   }
 
   test("single-object containment query returns exactly the frames inside the polygon") {
@@ -184,7 +211,7 @@ class QueryEngineSpec extends SparkSpec {
       "flat" -> flatSamples("lane"))
   }
 
-  test("construct joins broadcast the road network, and only heading predicates run a window") {
+  test("construct joins broadcast the road network, and no window runs") {
     // Q5-Q8 read no heading: one broadcast nested-loop join per construct
     // reference (Q8 has three), no Cartesian product, no window.
     for (query <- Seq(Queries.q5, Queries.q6, Queries.q7, Queries.q8)) {
@@ -195,10 +222,32 @@ class QueryEngineSpec extends SparkSpec {
       assert(ops.count(_.isInstanceOf[BroadcastNestedLoopJoinExec]) === Pred.geoRefs(query.pred).size,
              s"${query.name}: $names")
     }
-    // Q1 compares an object's heading with the camera's: it keeps its window.
+    // Q1 compares an object's heading with the camera's: it reads the
+    // heading column, so it needs no window either.
     val ops = operators(QueryEngine.run(spark, Queries.q1, objs, cams, roadsDf, fps).rows)
-    assert(ops.exists(_.isInstanceOf[WindowExec]), s"headings need the window: ${ops.map(_.nodeName)}")
+    assert(!ops.exists(_.isInstanceOf[WindowExec]), ops.map(_.nodeName).toString)
     assert(!ops.exists(_.isInstanceOf[CartesianProductExec]), ops.map(_.nodeName).toString)
+  }
+
+  test("heading and trajectory queries (Q1, Q9, Q10) read derived columns and broadcast the cameras") {
+    for (query <- Seq(Queries.q1, Queries.q9, Queries.q10)) {
+      val ops   = operators(QueryEngine.run(spark, query, objs, cams, roadsDf, fps).rows)
+      val names = s"${query.name}: ${ops.map(_.nodeName)}"
+      assert(!ops.exists(_.isInstanceOf[WindowExec]), names)
+      // The camera joins by broadcast hash. The only sort-merge joins left
+      // are the frame-aligned object self-joins (Q9 has two objects).
+      assert(ops.count(_.isInstanceOf[BroadcastHashJoinExec]) === 1, names)
+      assert(ops.count(_.isInstanceOf[SortMergeJoinExec]) === Pred.objRefs(query.pred).size - 1, names)
+      val built = ops.collect { case j: BroadcastHashJoinExec => j.right.output.map(_.name) }.head
+      assert(Seq("sceneId", "frameIdx").forall(built.contains) && !built.contains("oid"),
+             s"${query.name} broadcasts $built, not the cameras")
+    }
+  }
+
+  test("Q1's query engine runs in at most 8 Spark jobs") {
+    Seq(objs, cams, roadsDf).foreach(_.count())   // cache the inputs outside the group
+    val jobs = sparkJobs("qe-jobs-Q1")(QueryEngine.run(spark, Queries.q1, objs, cams, roadsDf, fps))
+    assert(jobs >= 1 && jobs <= 8, s"Q1 ran $jobs Spark jobs")
   }
 
   test("heading and trajectory predicates under an Or still get headings") {

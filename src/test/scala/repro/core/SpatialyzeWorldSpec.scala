@@ -99,11 +99,22 @@ class SpatialyzeWorldSpec extends SparkSpec {
   test("repeated observe() calls leave no temp views behind") {
     val catalog = spark.sessionState.catalog
     val before  = catalog.listLocalTempViews("*").size
-    // Q9's turn-left predicate also registers a track-aggregates view.
+    // Q5 reads objects only; Q9's turn-left predicate reads track facts too.
     Seq(Queries.q5, Queries.q9, Queries.q5, Queries.q9, Queries.q5).zipWithIndex.foreach { case (q, i) =>
       world().filter(q.pred).observe(PlanConfig.all, s"${q.name}r$i").rows.count()
     }
     assert(catalog.listLocalTempViews("*").size === before)
+  }
+
+  test("saveVideos releases what the workflow cached") {
+    val sc = spark.sparkContext
+    frames.count(); gt.count()
+    val before = sc.getPersistentRDDs.size
+    val dir    = Files.createTempDirectory("spatialyze")
+    Seq(Queries.q2, Queries.q5, Queries.q8).foreach { q =>
+      world().filter(q.pred).saveVideos(dir.resolve(s"${q.name}.jsonl").toString)
+    }
+    assert(sc.getPersistentRDDs.size === before)
   }
 
   test("chained filters conjoin") {

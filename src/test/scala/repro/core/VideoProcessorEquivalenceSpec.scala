@@ -7,7 +7,10 @@ import repro.sflow.{Queries, Query}
 import repro.world.{RoadNetwork, WorldGen, WorldParams}
 
 /** The one-pass video processor gives exactly the statistics and rows of
-  * the DataFrame-chain reference, plan by plan.
+  * the DataFrame-chain reference, plan by plan. That includes the facts
+  * the scene pass derives for the query engine: every sample's heading
+  * (nulls included), turnleft, stopped and nFrame equal the window
+  * reference's, per (sceneId, oid, frameIdx).
   */
 class VideoProcessorEquivalenceSpec extends SparkSpec {
 

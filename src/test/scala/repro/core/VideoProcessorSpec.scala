@@ -46,7 +46,8 @@ class VideoProcessorSpec extends SparkSpec {
       val r = run(q, PlanConfig.all)
       assert(!r.stats.trackerRan && r.tracked.isEmpty, s"${q.name} must not track")
       assert(r.stats.trackerFrames === 0L)
-      assert(r.objs.columns.toSet === Set("sceneId", "frameIdx", "oid", "otype", "x", "y"))
+      assert(r.objs.columns.toSeq ===
+             Seq("sceneId", "frameIdx", "oid", "otype", "x", "y", "heading", "turnleft", "stopped", "nFrame"))
     }
   }
 
@@ -98,16 +99,8 @@ class VideoProcessorSpec extends SparkSpec {
   }
 
   test("a run costs at most 3 Spark jobs (SB and S6 on Q1 and Q2)") {
-    val sc = spark.sparkContext
     for (q <- Seq(Queries.q1, Queries.q2); (name, cfg) <- Seq("SB" -> PlanConfig.baseline, "S6" -> PlanConfig.all)) {
-      val group = s"vp-jobs-${q.name}-$name"
-      sc.setJobGroup(group, group)
-      try run(q, cfg) finally sc.clearJobGroup()
-      // Job-start events reach the status tracker asynchronously.
-      val deadline = System.nanoTime() + 10e9.toLong
-      while (sc.statusTracker.getJobIdsForGroup(group).isEmpty && System.nanoTime() < deadline)
-        Thread.sleep(20)
-      val jobs = sc.statusTracker.getJobIdsForGroup(group).length
+      val jobs = sparkJobs(s"vp-jobs-${q.name}-$name")(run(q, cfg))
       assert(jobs >= 1 && jobs <= 3, s"${q.name} $name ran $jobs Spark jobs")
     }
   }
