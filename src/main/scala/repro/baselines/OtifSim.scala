@@ -1,7 +1,6 @@
 package repro.baselines
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.video.{CostModel, SimDetector}
 
 /** OTIF tracking throughput on a dataset. */
@@ -25,9 +24,9 @@ object OtifSim {
     val nFrames = frames.count()
     val dets    = SimDetector.detect(spark, frames, gtStates).persist()
 
-    val perFrame = dets.groupBy("sceneId", "frameIdx").agg(count("*").as("n")).persist()
-    val framesWithDets = perFrame.count()
+    val framesWithDets = dets.select("sceneId", "frameIdx").distinct().count()
     val detsTotal      = dets.count()
+    dets.unpersist(blocking = false)
 
     val detectorMs = CostModel.YoloMs * framesWithDets
     val proxyMs    = ProxyMs * nFrames

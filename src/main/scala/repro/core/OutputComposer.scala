@@ -65,14 +65,18 @@ object OutputComposer {
     * per-frame samples (sceneId, frameIdx, oid, otype, x, y), restricted
     * to the matched object ids. The query engine's derived columns of
     * `objs` are not part of a sample.
+    *
+    * `resultRows` is read once: every object column of a match is
+    * exploded into one (sceneId, oid) list, whose distinct ids are
+    * broadcast to the samples.
     */
   def getObjects(resultRows: DataFrame, objs: DataFrame): DataFrame = {
     val samples = objs.select("sceneId", "frameIdx", "oid", "otype", "x", "y")
     val oidCols = resultRows.columns.filter(_.endsWith("_oid"))
     if (oidCols.isEmpty) return samples.limit(0)
-    val matchedOids = oidCols.map { c =>
-      resultRows.select(col("sceneId"), col(c).as("oid"))
-    }.reduce(_ union _).distinct()
-    samples.join(matchedOids, Seq("sceneId", "oid"))
+    val matched = resultRows
+      .select(col("sceneId"), explode(array(oidCols.map(col): _*)).as("oid"))
+      .distinct()
+    samples.join(broadcast(matched), Seq("sceneId", "oid"))
   }
 }

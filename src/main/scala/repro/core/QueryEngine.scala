@@ -7,11 +7,14 @@ import org.apache.spark.sql.functions._
 import repro.catalyst.SpatialFunctions
 import repro.sflow._
 
-/** Result of the Movable-Objects Query Engine: the matching
+/** Result of the Movable-Objects Query Engine: the plan of the matching
   * (scene, frame, objects...) rows, the generated SQL, and the modelled
   * number of candidate rows the engine examined (temporal-index-aligned
   * self-joins × bbox-prefiltered construct candidates) — the devkit
   * comparison's cost basis.
+  *
+  * `rows` is not cached: every action on it runs the SQL. A caller that
+  * reads it more than once should cache it, and then owns that cache.
   */
 final case class QueryResult(rows: DataFrame, rowsExamined: Long, sql: String)
 
@@ -30,6 +33,9 @@ final case class QueryResult(rows: DataFrame, rowsExamined: Long, sql: String)
   * Headings, trajectory flags and per-frame sample counts are scene-local
   * facts: the video processor's scene pass derives them (§5.2.2), and the
   * engine reads them as columns of `objs`.
+  *
+  * Execution is deferred (§5.2): the engine returns the query as a plan,
+  * and the Output Composer's action (or the caller's) runs it once.
   */
 object QueryEngine {
 
@@ -44,12 +50,14 @@ object QueryEngine {
 
   private def sqlLit(s: String): String = "'" + s.replace("'", "''") + "'"
 
-  /** Compile the predicate into SQL and execute it. `objs` must have
-    * columns (sceneId, frameIdx, oid, otype, x, y, heading, turnleft,
-    * stopped, nFrame), as `VideoProcessor.run` emits them; `cams`
-    * (sceneId, frameIdx, x, y, heading); `roads` the RoadNetwork table.
-    * The temp views it registers are dropped before it returns; `rows`
-    * stays cached.
+  /** Compile the predicate into SQL and return its plan as `rows`.
+    * `objs` must have columns (sceneId, frameIdx, oid, otype, x, y,
+    * heading, turnleft, stopped, nFrame), as `VideoProcessor.run` emits
+    * them; `cams` (sceneId, frameIdx, x, y, heading); `roads` the
+    * RoadNetwork table. The only Spark work here is the modelled
+    * `rowsExamined` sum; the SQL runs in every action on `rows`. The temp
+    * views it registers are dropped before it returns, and it caches
+    * nothing.
     */
   def run(spark: SparkSession, query: Query, objs: DataFrame, cams: DataFrame,
           roads: DataFrame, fps: Double): QueryResult = {
@@ -121,8 +129,10 @@ object QueryEngine {
         objRs.map(o => s"${alias(o)}.oid AS ${alias(o)}_oid")).mkString(", ")
 
     val sql  = s"SELECT DISTINCT $select\nFROM $from\nWHERE $where"
-    val rows = spark.sql(sql).persist()
-    rows.count()
+    // Analysed now, so it outlives the views dropped below; executed by
+    // whichever action reads it, outside any cache, so adaptive execution
+    // can coalesce its shuffle stages.
+    val rows = spark.sql(sql)
 
     // Modelled candidate-row count: frame-aligned object tuples times the
     // bbox-prefiltered construct candidates (~4 per construct ref).

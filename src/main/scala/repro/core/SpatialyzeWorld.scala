@@ -7,18 +7,20 @@ import repro.world.RoadNetwork
 
 /** Outcome of observing a world: the query result, statistics, and the
   * modelled workflow runtime.
+  *
+  * `rows` is the query engine's plan, not a cache: every action on it
+  * runs the SQL over the cached scene pass. A caller that reads it more
+  * than once should cache it, and then owns that cache.
   */
 final case class ObserveResult(rows: DataFrame, objs: DataFrame, stats: RunStats,
                                sql: String, process: ProcessResult) {
   def workflowMs: Double = CostModel.workflowMs(stats)
 
-  /** Free what the workflow cached: the scene pass and the query engine's
-    * `rows`. `rows` and `objs` stay usable; reading them again recomputes.
+  /** Free what the workflow cached: the scene pass, its only cache.
+    * `rows` and `objs` stay usable; reading them again recomputes. A
+    * cache the caller put on `rows` is the caller's to release.
     */
-  def release(): Unit = {
-    rows.unpersist(blocking = false)
-    process.release()
-  }
+  def release(): Unit = process.release()
 }
 
 /** The build–filter–observe facade (paper §3, §4.2.4).

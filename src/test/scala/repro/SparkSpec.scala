@@ -1,5 +1,6 @@
 package repro
 
+import org.apache.spark.JobExecutionStatus
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -15,20 +16,30 @@ import org.scalatest.funsuite.AnyFunSuite
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
-  /** The number of Spark jobs `body` starts, counted by job group. */
-  def sparkJobs(group: String)(body: => Any): Int = {
+  /** The Spark jobs `body` starts, counted by job group, and the tasks
+    * their stages ran.
+    */
+  def sparkJobs(group: String)(body: => Any): SparkWork = {
     val sc = spark.sparkContext
+    val st = sc.statusTracker
     sc.setJobGroup(group, group)
     try body finally sc.clearJobGroup()
-    // Job-start events reach the status tracker asynchronously.
+    // Job and task events reach the status tracker asynchronously: wait
+    // until the group's jobs are there and none is still running.
+    def jobs = st.getJobIdsForGroup(group).toSeq.flatMap(st.getJobInfo)
     val deadline = System.nanoTime() + 10e9.toLong
-    while (sc.statusTracker.getJobIdsForGroup(group).isEmpty && System.nanoTime() < deadline)
+    while ((jobs.isEmpty || jobs.exists(_.status == JobExecutionStatus.RUNNING)) &&
+           System.nanoTime() < deadline)
       Thread.sleep(20)
-    sc.statusTracker.getJobIdsForGroup(group).length
+    val stages = jobs.flatMap(_.stageIds).distinct.flatMap(st.getStageInfo)
+    SparkWork(st.getJobIdsForGroup(group).length, stages.map(_.numCompletedTasks).sum)
   }
 
   override def afterAll(): Unit = { super.afterAll() }
 }
+
+/** Spark work counted by `SparkSpec.sparkJobs`. */
+final case class SparkWork(jobs: Int, tasks: Int)
 
 object SparkSpec {
   lazy val shared: SparkSession = {

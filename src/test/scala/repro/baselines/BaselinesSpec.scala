@@ -66,6 +66,14 @@ class BaselinesSpec extends SparkSpec {
     assert(r.trainMs === CostModel.OtifTrainMs)
   }
 
+  test("OTIF leaves no cache behind") {
+    val sc = spark.sparkContext
+    nus.frames.count(); nus.gtStates.count()
+    val before = sc.getPersistentRDDs.keySet.toSet
+    OtifSim.run(spark, nus.frames, nus.gtStates)
+    assert((sc.getPersistentRDDs.keySet.toSet -- before).isEmpty)
+  }
+
   test("SkyQuery: Spatialyze's RVP yields a moderate speedup on the aerial workload (paper 1.18x)") {
     val r = SkyQuerySim.compare(spark, sky.frames, sky.gtStates, sky.net, Queries.q10Aerial, sky.fps)
     info(f"SkyQuery ${r.skyQueryFps}%.2f fps vs Spatialyze ${r.spatialyzeFps}%.2f fps " +

@@ -1,9 +1,8 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.execution.SparkPlan
+import org.apache.spark.sql.execution.{SparkPlan, UnionExec}
 import org.apache.spark.sql.execution.adaptive.{AdaptiveSparkPlanExec, QueryStageExec}
-import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
 import org.apache.spark.sql.execution.exchange.ReusedExchangeExec
 import org.apache.spark.sql.execution.joins.{BroadcastHashJoinExec, BroadcastNestedLoopJoinExec,
                                               CartesianProductExec, SortMergeJoinExec}
@@ -54,7 +53,11 @@ class QueryEngineSpec extends SparkSpec {
     rows.toDF("sceneId", "frameIdx", "oid", "otype", "x", "y")
   }
 
-  private lazy val objs: DataFrame = WindowReference.withFacts(samples(tracks)).persist()
+  /** The hand-made tracks with their facts, in as many partitions as the
+    * scene pass emits (the window would leave one per shuffle partition).
+    */
+  private lazy val objs: DataFrame = WindowReference.withFacts(samples(tracks))
+    .coalesce(spark.sparkContext.defaultParallelism).persist()
 
   /** Static camera just west of the intersection, looking east, on the
     * eastbound lane.
@@ -88,20 +91,18 @@ class QueryEngineSpec extends SparkSpec {
           GROUP BY o.sceneId, o.frameIdx, o.oid, o.otype""")
   }
 
-  /** Every operator of the plan that computed `df`, looking through
-    * adaptive query stages and into the plan of the cached `df` itself,
-    * but not into its cached inputs (the hand-made `objs`).
+  /** Every operator of the plan that computes `df`, looking through
+    * adaptive query stages but never into cached inputs (the hand-made
+    * `objs` is a cached window plan).
     */
   private def operators(df: DataFrame): Seq[SparkPlan] = {
-    def walk(p: SparkPlan, intoCache: Boolean): Seq[SparkPlan] = p match {
-      case a: AdaptiveSparkPlanExec => walk(a.executedPlan, intoCache)
-      case s: QueryStageExec        => walk(s.plan, intoCache)
-      case r: ReusedExchangeExec    => walk(r.child, intoCache)
-      case m: InMemoryTableScanExec =>
-        m +: (if (intoCache) walk(m.relation.cachedPlan, intoCache = false) else Nil)
-      case other                    => other +: other.children.flatMap(walk(_, intoCache))
+    def walk(p: SparkPlan): Seq[SparkPlan] = p match {
+      case a: AdaptiveSparkPlanExec => walk(a.executedPlan)
+      case s: QueryStageExec        => walk(s.plan)
+      case r: ReusedExchangeExec    => walk(r.child)
+      case other                    => other +: other.children.flatMap(walk)
     }
-    walk(df.queryExecution.executedPlan, intoCache = true)
+    walk(df.queryExecution.executedPlan)
   }
 
   test("enrich derives headings from track displacement") {
@@ -244,10 +245,45 @@ class QueryEngineSpec extends SparkSpec {
     }
   }
 
-  test("Q1's query engine runs in at most 8 Spark jobs") {
+  test("Q1's query engine and one count run in under 64 tasks") {
     Seq(objs, cams, roadsDf).foreach(_.count())   // cache the inputs outside the group
-    val jobs = sparkJobs("qe-jobs-Q1")(QueryEngine.run(spark, Queries.q1, objs, cams, roadsDf, fps))
-    assert(jobs >= 1 && jobs <= 8, s"Q1 ran $jobs Spark jobs")
+    val work = sparkJobs("qe-work-Q1")(QueryEngine.run(spark, Queries.q1, objs, cams, roadsDf, fps).rows.count())
+    // Uncached, the query's shuffle stages coalesce: no stage runs all 64
+    // shuffle partitions (7 jobs and 19 tasks on 4 cores; cached, over 128).
+    assert(work.jobs >= 1 && work.jobs <= 8 && work.tasks < 64, s"Q1 ran $work")
+  }
+
+  test("QueryEngine.run caches nothing") {
+    val sc = spark.sparkContext
+    Seq(objs, cams, roadsDf).foreach(_.count())
+    val before = sc.getPersistentRDDs.keySet.toSet
+    for (query <- Seq(Queries.q1, Queries.q5, Queries.q9))
+      QueryEngine.run(spark, query, objs, cams, roadsDf, fps)
+    assert((sc.getPersistentRDDs.keySet.toSet -- before).isEmpty)
+  }
+
+  test("getObjects reads a three-object query's rows once") {
+    val c1 = ObjRef("c1"); val c2 = ObjRef("c2"); val p = ObjRef("p")
+    val pred = Pred.and(TypeIs(c1, Set("car")), TypeIs(c2, Set("car")), TypeIs(p, Set("pedestrian")),
+                        DistanceLt(CamRef, c1, 50.0), DistanceLt(CamRef, c2, 50.0),
+                        DistanceLt(CamRef, p, 50.0))
+    val rows = QueryEngine.run(spark, q("tq13", pred), objs, cams, roadsDf, fps).rows
+    val got  = OutputComposer.getObjects(rows, objs)
+    // The engine's own plan holds the two frame-aligned self-joins; the
+    // composer adds no union, no sort-merge join and no second copy.
+    val ops = operators(got)
+    assert(!ops.exists(_.isInstanceOf[UnionExec]), ops.map(_.nodeName).toString)
+    assert(ops.count(_.isInstanceOf[SortMergeJoinExec]) === 2, ops.map(_.nodeName).toString)
+    // Same samples, in the same columns, as a union of one select per
+    // object column joined back to the samples.
+    val matched = Seq("c1_oid", "c2_oid", "p_oid")
+      .map(c => rows.select(col("sceneId"), col(c).as("oid"))).reduce(_ union _).distinct()
+    val union = objs.select("sceneId", "frameIdx", "oid", "otype", "x", "y")
+      .join(matched, Seq("sceneId", "oid"))
+    assert(got.columns.toSeq === union.columns.toSeq)
+    val gotRows = got.collect().map(_.toString).sorted.toSeq
+    assert(gotRows.nonEmpty)
+    assert(gotRows === union.collect().map(_.toString).sorted.toSeq)
   }
 
   test("heading and trajectory predicates under an Or still get headings") {

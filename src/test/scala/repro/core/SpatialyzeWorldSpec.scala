@@ -19,6 +19,14 @@ class SpatialyzeWorldSpec extends SparkSpec {
   private def world() =
     new SpatialyzeWorld(spark, p.fps).addGeogConstructs(net).addVideo(frames, gt)
 
+  /** Run `check` on a workflow's result, then free the workflow's cache.
+    * A scene pass left cached is dropped by Spark's context cleaner at
+    * some later GC, which may fall inside another test's count of cached
+    * RDDs.
+    */
+  private def observing[A](res: ObserveResult)(check: ObserveResult => A): A =
+    try check(res) finally res.release()
+
   test("observing an unfiltered world fails loudly") {
     intercept[IllegalArgumentException] { world().observe() }
   }
@@ -33,11 +41,12 @@ class SpatialyzeWorldSpec extends SparkSpec {
   // must produce matches on a handful of scenes.
   Seq(Queries.q1, Queries.q2, Queries.q5, Queries.q6).foreach { q =>
     test(s"${q.name} end-to-end returns matches (${q.description})") {
-      val res = world().filter(q.pred).observe(PlanConfig.all, q.name)
-      val n = res.rows.count()
-      info(s"${q.name}: $n matching rows")
-      assert(n > 0, s"${q.name} should match in the synthetic world")
-      assert(res.rows.columns.contains("sceneId") && res.rows.columns.contains("frameIdx"))
+      observing(world().filter(q.pred).observe(PlanConfig.all, q.name)) { res =>
+        val n = res.rows.count()
+        info(s"${q.name}: $n matching rows")
+        assert(n > 0, s"${q.name} should match in the synthetic world")
+        assert(res.rows.columns.contains("sceneId") && res.rows.columns.contains("frameIdx"))
+      }
     }
   }
 
@@ -45,33 +54,36 @@ class SpatialyzeWorldSpec extends SparkSpec {
   // end with all optimizations (matches depend on rarer configurations).
   Seq(Queries.q3, Queries.q4, Queries.q7, Queries.q8, Queries.q9).foreach { q =>
     test(s"${q.name} executes end-to-end (${q.description})") {
-      val res = world().filter(q.pred).observe(PlanConfig.all, q.name)
-      assert(res.rows.count() >= 0)
-      assert(res.stats.framesTotal === frames.count())
-      assert(res.workflowMs > 0)
+      observing(world().filter(q.pred).observe(PlanConfig.all, q.name)) { res =>
+        assert(res.rows.count() >= 0)
+        assert(res.stats.framesTotal === frames.count())
+        assert(res.workflowMs > 0)
+      }
     }
   }
 
   test("Q10 end-to-end on the aerial dataset finds stopped cars in bike lanes") {
     val sp  = WorldParams.sky(nFlights = 3)
-    val res = new SpatialyzeWorld(spark, sp.fps)
+    observing(new SpatialyzeWorld(spark, sp.fps)
       .addGeogConstructs(RoadNetwork.grid(sp.grid))
       .addVideo(WorldGen.frames(spark, sp), WorldGen.gtStates(spark, sp))
       .filter(Queries.q10Aerial.pred)
-      .observe(PlanConfig(rvp = true, otp = false, geom3d = false, efs = false), "Q10a")
-    val n = res.rows.count()
-    info(s"Q10a: $n matching rows, pruned ${res.stats.prunedFrameFraction * 100}%")
-    assert(n > 0, "aerial dataset must contain stopped cars in bike lanes")
-    assert(res.stats.rvpApplied)
+      .observe(PlanConfig(rvp = true, otp = false, geom3d = false, efs = false), "Q10a")) { res =>
+      val n = res.rows.count()
+      info(s"Q10a: $n matching rows, pruned ${res.stats.prunedFrameFraction * 100}%")
+      assert(n > 0, "aerial dataset must contain stopped cars in bike lanes")
+      assert(res.stats.rvpApplied)
+    }
   }
 
   test("optimized and baseline plans return consistent match sets for Q5") {
-    val base = world().filter(Queries.q5.pred).observe(PlanConfig.baseline, "Q5b")
-    val opt  = world().filter(Queries.q5.pred).observe(PlanConfig.all, "Q5o")
-    val baseFrames = base.rows.select("sceneId", "frameIdx").distinct().collect()
-      .map(r => (r.getLong(0), r.getInt(1))).toSet
-    val optFrames = opt.rows.select("sceneId", "frameIdx").distinct().collect()
-      .map(r => (r.getLong(0), r.getInt(1))).toSet
+    def matchedFrames(config: PlanConfig, name: String) =
+      observing(world().filter(Queries.q5.pred).observe(config, name)) {
+        _.rows.select("sceneId", "frameIdx").distinct().collect()
+          .map(r => (r.getLong(0), r.getInt(1))).toSet
+      }
+    val baseFrames = matchedFrames(PlanConfig.baseline, "Q5b")
+    val optFrames  = matchedFrames(PlanConfig.all, "Q5o")
     // Q5 is detection-only: GE vs ML moves 3D estimates slightly, so allow
     // boundary flips, but the overlap must dominate.
     val overlap = (baseFrames intersect optFrames).size.toDouble
@@ -91,9 +103,11 @@ class SpatialyzeWorldSpec extends SparkSpec {
 
   test("getObjects returns the matched movable objects with their samples") {
     val (objs, res) = world().filter(Queries.q2.pred).getObjects()
-    assert(res.rows.count() > 0)
-    assert(objs.count() > 0)
-    assert(objs.columns.toSet === Set("sceneId", "oid", "frameIdx", "otype", "x", "y"))
+    observing(res) { res =>
+      assert(res.rows.count() > 0)
+      assert(objs.count() > 0)
+      assert(objs.columns.toSet === Set("sceneId", "oid", "frameIdx", "otype", "x", "y"))
+    }
   }
 
   test("repeated observe() calls leave no temp views behind") {
@@ -101,7 +115,7 @@ class SpatialyzeWorldSpec extends SparkSpec {
     val before  = catalog.listLocalTempViews("*").size
     // Q5 reads objects only; Q9's turn-left predicate reads track facts too.
     Seq(Queries.q5, Queries.q9, Queries.q5, Queries.q9, Queries.q5).zipWithIndex.foreach { case (q, i) =>
-      world().filter(q.pred).observe(PlanConfig.all, s"${q.name}r$i").rows.count()
+      observing(world().filter(q.pred).observe(PlanConfig.all, s"${q.name}r$i"))(_.rows.count())
     }
     assert(catalog.listLocalTempViews("*").size === before)
   }
@@ -117,12 +131,30 @@ class SpatialyzeWorldSpec extends SparkSpec {
     assert(sc.getPersistentRDDs.size === before)
   }
 
+  test("observe() caches only the scene pass, and release() frees it") {
+    val sc      = spark.sparkContext
+    val catalog = spark.sessionState.catalog
+    frames.count(); gt.count()
+    // Only additions count: the context cleaner may drop another suite's
+    // forgotten cache meanwhile.
+    def added(before: Set[Int]) = sc.getPersistentRDDs.keySet.toSet -- before
+    for (q <- Seq(Queries.q1, Queries.q5)) {
+      val before = sc.getPersistentRDDs.keySet.toSet
+      val views  = catalog.listLocalTempViews("*").size
+      observing(world().filter(q.pred).observe(PlanConfig.all, s"${q.name}c")) { res =>
+        assert(added(before).size === 1, s"${q.name}: one persisted RDD")
+        assert(added(before) === res.process.cached.map(_.id).toSet, s"${q.name}: the scene pass")
+      }
+      assert(added(before).isEmpty && catalog.listLocalTempViews("*").size === views)
+    }
+  }
+
   test("chained filters conjoin") {
-    val single = world().filter(Queries.q5.pred).observe(PlanConfig.all, "Q5s").rows.count()
-    val chained = world()
+    val single = observing(world().filter(Queries.q5.pred).observe(PlanConfig.all, "Q5s"))(_.rows.count())
+    val chained = observing(world()
       .filter(Queries.q5.pred)
       .filter(repro.sflow.DistanceLt(repro.sflow.CamRef, Queries.person, 20.0))
-      .observe(PlanConfig.all, "Q5c").rows.count()
+      .observe(PlanConfig.all, "Q5c"))(_.rows.count())
     assert(chained <= single, "adding a filter cannot grow the result")
   }
 }

@@ -100,7 +100,7 @@ class VideoProcessorSpec extends SparkSpec {
 
   test("a run costs at most 3 Spark jobs (SB and S6 on Q1 and Q2)") {
     for (q <- Seq(Queries.q1, Queries.q2); (name, cfg) <- Seq("SB" -> PlanConfig.baseline, "S6" -> PlanConfig.all)) {
-      val jobs = sparkJobs(s"vp-jobs-${q.name}-$name")(run(q, cfg))
+      val jobs = sparkJobs(s"vp-jobs-${q.name}-$name")(run(q, cfg)).jobs
       assert(jobs >= 1 && jobs <= 3, s"${q.name} $name ran $jobs Spark jobs")
     }
   }
