@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.sflow.Query
+import repro.sflow.{Analyzer, CamRef, DistanceLt, Pred, Query}
 import repro.video.{CostModel, Estimators, SimDetector}
 import repro.world.RoadNetwork
 
@@ -39,19 +39,24 @@ final class EvaSim(spark: SparkSession) {
     // object multiset satisfies the (type, containment, distance) filter.
     val req   = query.requirements
     val types = req.typesOfInterest.getOrElse(Set.empty)
-    val geoTargets = req.rvpTargets // (type, dist) pairs reused as per-object constraints
-    val polysByType = geoTargets.map(_._1).distinct
-      .map(t => t -> net.ofType(t).map(_.polygon).toArray).toMap
+    val geoTypes = req.rvpTargets.map(_._1).distinct
+    val polysByType = geoTypes.map(t => t -> net.ofType(t).map(_.polygon).toArray).toMap
     val minMatches = req.objRefs.size
+    // A detection may stand for any object reference, so it must lie within
+    // the loosest of their camera-distance bounds (Q7: the car's 10 m). An
+    // object without a bound gets the 50 m default.
+    val cs = Pred.conjuncts(query.pred)
+    val maxDist = req.objRefs.map { o =>
+      cs.collect { case DistanceLt(CamRef, `o`, d) => d; case DistanceLt(`o`, CamRef, d) => d }
+        .minOption.getOrElse(Analyzer.DefaultVisibilityDistance)
+    }.maxOption.getOrElse(Analyzer.DefaultVisibilityDistance)
 
     import spark.implicits._
     val matching = dets3d.as[repro.video.Det3dRow]
       .filter { d =>
         (types.isEmpty || types.contains(d.otype)) &&
-        math.hypot(d.estX - d.camX, d.estY - d.camY) < 50.0 &&
-        (geoTargets.isEmpty || geoTargets.exists { case (t, _) =>
-          polysByType(t).exists(_.contains(d.estX, d.estY))
-        })
+        math.hypot(d.estX - d.camX, d.estY - d.camY) < maxDist &&
+        (geoTypes.isEmpty || geoTypes.exists(t => polysByType(t).exists(_.contains(d.estX, d.estY))))
       }
       .groupByKey(d => (d.sceneId, d.frameIdx))
       .count()

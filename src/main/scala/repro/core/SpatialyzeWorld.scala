@@ -8,19 +8,11 @@ import repro.world.RoadNetwork
 /** Outcome of observing a world: the query result, statistics, and the
   * modelled workflow runtime.
   *
-  * `rows` is the query engine's plan, not a cache: every action on it
-  * runs the SQL over the cached scene pass. A caller that reads it more
-  * than once should cache it, and then owns that cache.
+  * A workflow caches nothing. `rows` is the query engine's plan: every
+  * action on it runs the SQL over the scene pass's collected samples.
   */
-final case class ObserveResult(rows: DataFrame, objs: DataFrame, stats: RunStats,
-                               sql: String, process: ProcessResult) {
+final case class ObserveResult(rows: DataFrame, objs: DataFrame, stats: RunStats, sql: String) {
   def workflowMs: Double = CostModel.workflowMs(stats)
-
-  /** Free what the workflow cached: the scene pass, its only cache.
-    * `rows` and `objs` stay usable; reading them again recomputes. A
-    * cache the caller put on `rows` is the caller's to release.
-    */
-  def release(): Unit = process.release()
 }
 
 /** The build–filter–observe facade (paper §3, §4.2.4).
@@ -79,7 +71,7 @@ final class SpatialyzeWorld(spark: SparkSession, val fps: Double = 12.0) {
     val proc = VideoProcessor.run(spark, frames, gt, network, query, config, fps)
     val qr   = QueryEngine.run(spark, query, proc.objs, QueryEngine.cams(frames), network.toDF(spark), fps)
     val stats = proc.stats.copy(queryRowsExamined = qr.rowsExamined)
-    ObserveResult(qr.rows, proc.objs, stats, qr.sql, proc)
+    ObserveResult(qr.rows, proc.objs, stats, qr.sql)
   }
 
   /** Observe by collecting the filtered Movable Objects. */
@@ -88,13 +80,9 @@ final class SpatialyzeWorld(spark: SparkSession, val fps: Double = 12.0) {
     (OutputComposer.getObjects(res.rows, res.objs), res)
   }
 
-  /** Observe by saving matching video snippets (manifests — no pixels).
-    * Once the manifest is written, the workflow's cache is released.
-    */
+  /** Observe by saving matching video snippets (manifests — no pixels). */
   def saveVideos(path: String, config: PlanConfig = PlanConfig.all): (Seq[Snippet], ObserveResult) = {
-    val res   = observe(config)
-    val snips = OutputComposer.saveVideos(res.rows, path)
-    res.release()
-    (snips, res)
+    val res = observe(config)
+    (OutputComposer.saveVideos(res.rows, path), res)
   }
 }

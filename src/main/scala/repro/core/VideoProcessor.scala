@@ -31,15 +31,11 @@ final case class ObjSample(sceneId: Long, frameIdx: Int, trackId: Long, did: Lon
 /** Output of the video processor: the Movable-Objects samples ready for
   * the query engine, plus execution statistics and the surviving frames
   * (needed by the output composer and the accuracy evaluation).
-  * `cached` is what the run persisted; `release()` frees it.
   */
 final case class ProcessResult(objs: DataFrame,
                                tracked: Option[DataFrame],
                                keptFrames: DataFrame,
-                               stats: RunStats,
-                               cached: Seq[RDD[_]] = Nil) {
-  def release(): Unit = cached.foreach(_.unpersist(blocking = false))
-}
+                               stats: RunStats)
 
 /** The Video Processor stage (§5.2.2): the streaming-operator plan
   * Decode → [RVP] → Detect → [OTP] → 3D-Estimate → [EFS] → Track, keeping
@@ -52,6 +48,8 @@ final case class ProcessResult(objs: DataFrame,
   * streams each scene's frames in order through the operators. The same
   * task derives, per track in frame order, the facts the query engine
   * reads (headings, turn-left and stopped flags, samples per frame).
+  * The scene rows come back to the driver in the run's one Spark job, and
+  * the outputs are parallelized from them: a run caches nothing.
   */
 object VideoProcessor {
 
@@ -100,17 +98,21 @@ object VideoProcessor {
         (net.segments.filter(_.heading.isDefined).toArray, net.ofType("intersection").toArray, fps)),
       flags = flags)
 
-    val scenes = byScene(frames, gtStates)(processScene(_, _, _, plan)).persist()
-    val stats  = scenes.map(_.stats).collect().foldLeft(flags)(_ + _)
+    val scenes = byScene(frames, gtStates)(processScene(_, _, _, plan)).collect().toVector
+    val stats  = scenes.map(_.stats).foldLeft(flags)(_ + _)
 
-    val samples = scenes.flatMap(_.samples).toDF()
+    // Parallelized, so the engine plans over an RDD scan; as a local
+    // relation (`Seq.toDF`) Q8's three-way self-join ran slower.
+    val sc      = spark.sparkContext
+    val samples = sc.parallelize(scenes.flatMap(_.samples), sc.defaultParallelism).toDF()
     val objs = samples.select(col("sceneId"), col("frameIdx"), col("trackId").as("oid"),
                               col("otype"), col("estX").as("x"), col("estY").as("y"),
                               when(!isnan(col("heading")), col("heading")).as("heading"),
                               col("turnleft"), col("stopped"), col("nFrame"))
     val tracked = samples.select("sceneId", "frameIdx", "trackId", "did", "oid", "otype", "estX", "estY")
-    val keptFrames = scenes.flatMap(s => s.keptFrames.map(f => (s.sceneId, f))).toDF("sceneId", "frameIdx")
-    ProcessResult(objs, Option.when(req.needsTracking)(tracked), keptFrames, stats, Seq(scenes))
+    val kept       = scenes.flatMap(s => s.keptFrames.map(f => (s.sceneId, f)))
+    val keptFrames = sc.parallelize(kept, sc.defaultParallelism).toDF("sceneId", "frameIdx")
+    ProcessResult(objs, Option.when(req.needsTracking)(tracked), keptFrames, stats)
   }
 
   /** Cogroup frames and latent states by scene, and make one row per scene

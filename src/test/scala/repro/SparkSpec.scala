@@ -35,6 +35,16 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
     SparkWork(st.getJobIdsForGroup(group).length, stages.map(_.numCompletedTasks).sum)
   }
 
+  /** The ids of the RDDs `body` left persisted. Only additions count: the
+    * context cleaner may drop another suite's forgotten cache meanwhile.
+    */
+  def persistedBy(body: => Any): Set[Int] = {
+    val sc     = spark.sparkContext
+    val before = sc.getPersistentRDDs.keySet.toSet
+    body
+    sc.getPersistentRDDs.keySet.toSet -- before
+  }
+
   override def afterAll(): Unit = { super.afterAll() }
 }
 

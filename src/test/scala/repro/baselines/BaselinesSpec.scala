@@ -3,7 +3,7 @@ package repro.baselines
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
 import repro.exp.Scenarios
-import repro.sflow.Queries
+import repro.sflow.{Analyzer, And, CamRef, DistanceLt, Pred, Queries}
 import repro.video.CostModel
 
 class BaselinesSpec extends SparkSpec {
@@ -31,6 +31,19 @@ class BaselinesSpec extends SparkSpec {
     val eva = new EvaSim(spark)
     val r5  = eva.run(nus.frames, nus.gtStates, nus.net, Queries.q5)
     assert(r5.resultFrames > 0, "pedestrians at intersections exist in the world")
+  }
+
+  test("EVA applies the query's camera-distance bound (Q7: a car within 10 m)") {
+    val eva  = new EvaSim(spark)
+    val wide = Queries.q7.copy(name = "Q7w", pred = And(Pred.conjuncts(Queries.q7.pred).map {
+      case DistanceLt(CamRef, o, 10.0) => DistanceLt(CamRef, o, Analyzer.DefaultVisibilityDistance)
+      case p                           => p
+    }))
+    assert(wide.pred != Queries.q7.pred)
+    val near = eva.run(nus.frames, nus.gtStates, nus.net, Queries.q7).resultFrames
+    val far  = eva.run(nus.frames, nus.gtStates, nus.net, wide).resultFrames
+    info(s"Q7 EVA frames: $near within 10 m, $far within 50 m")
+    assert(near < far)
   }
 
   test("VIVA comparison: speedup on the static jackson camera is smaller than on nuScenes") {
@@ -67,11 +80,8 @@ class BaselinesSpec extends SparkSpec {
   }
 
   test("OTIF leaves no cache behind") {
-    val sc = spark.sparkContext
     nus.frames.count(); nus.gtStates.count()
-    val before = sc.getPersistentRDDs.keySet.toSet
-    OtifSim.run(spark, nus.frames, nus.gtStates)
-    assert((sc.getPersistentRDDs.keySet.toSet -- before).isEmpty)
+    assert(persistedBy(OtifSim.run(spark, nus.frames, nus.gtStates)).isEmpty)
   }
 
   test("SkyQuery: Spatialyze's RVP yields a moderate speedup on the aerial workload (paper 1.18x)") {

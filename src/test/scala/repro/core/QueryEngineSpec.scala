@@ -254,12 +254,11 @@ class QueryEngineSpec extends SparkSpec {
   }
 
   test("QueryEngine.run caches nothing") {
-    val sc = spark.sparkContext
     Seq(objs, cams, roadsDf).foreach(_.count())
-    val before = sc.getPersistentRDDs.keySet.toSet
-    for (query <- Seq(Queries.q1, Queries.q5, Queries.q9))
-      QueryEngine.run(spark, query, objs, cams, roadsDf, fps)
-    assert((sc.getPersistentRDDs.keySet.toSet -- before).isEmpty)
+    assert(persistedBy {
+      for (query <- Seq(Queries.q1, Queries.q5, Queries.q9))
+        QueryEngine.run(spark, query, objs, cams, roadsDf, fps)
+    }.isEmpty)
   }
 
   test("getObjects reads a three-object query's rows once") {

@@ -105,6 +105,14 @@ class VideoProcessorSpec extends SparkSpec {
     }
   }
 
+  test("VideoProcessor.run caches nothing") {
+    frames.count(); gt.count()
+    for (q <- Seq(Queries.q1, Queries.q5); (name, cfg) <- Seq("SB" -> PlanConfig.baseline, "S6" -> PlanConfig.all)) {
+      val added = persistedBy(run(q, cfg))
+      assert(added.isEmpty, s"${q.name} $name persisted RDDs $added")
+    }
+  }
+
   test("plans are deterministic end to end") {
     val a = run(Queries.q3, PlanConfig.all)
     val b = run(Queries.q3, PlanConfig.all)

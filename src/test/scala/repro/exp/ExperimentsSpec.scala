@@ -64,6 +64,12 @@ class ExperimentsSpec extends SparkSpec {
     assert(s6.assA > 0.5, s"S6 AssA ${s6.assA} collapsed")
   }
 
+  test("the ablation over Q1 and the seven setups caches nothing") {
+    ds.frames.count(); ds.gtStates.count()
+    val added = persistedBy(AblationExperiment.run(spark, ds, queries = Seq(Queries.q1)))
+    assert(added.isEmpty, s"persisted RDDs $added")
+  }
+
   test("skip-distance study produces buckets with decreasing runtime ratio") {
     val rows = SkipDistanceExperiment.run(spark, ds, maxSkip = 20)
     assert(rows.nonEmpty)
