@@ -1,7 +1,7 @@
 package repro.baselines
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.DataFrame
+import repro.core.QueryEngine
 import repro.sflow.{Pred, Query}
 import repro.video.CostModel
 
@@ -27,18 +27,17 @@ final case class DevkitRun(query: String, devkitMs: Double, spatialyzeMs: Double
   */
 object DevkitSim {
 
-  def compare(spark: SparkSession, query: Query, objs: DataFrame,
+  /** `objs` as `VideoProcessor.run` emits it: its `nFrame` column gives the
+    * per-frame tuple counts.
+    */
+  def compare(query: Query, objs: DataFrame,
               roadCountsByType: Map[String, Long], spatialyzeRows: Long): DevkitRun = {
     val k = math.max(1, Pred.objRefs(query.pred).size)
     val geoFactor = Pred.geoRefs(query.pred)
       .map(g => roadCountsByType.getOrElse(g.geoType, 1L).toDouble)
       .product
 
-    val sumNk = objs.groupBy("sceneId", "frameIdx").count()
-      .agg(sum(pow(col("count"), lit(k.toDouble)))).collect()(0)
-    val tupleRows = if (sumNk.isNullAt(0)) 0.0 else sumNk.getDouble(0)
-
-    val devkitRows = tupleRows * geoFactor
+    val devkitRows = QueryEngine.sumNk(objs, k) * geoFactor
     val oom        = devkitRows > CostModel.DevkitOomRows
     DevkitRun(query.name,
               devkitMs = devkitRows * CostModel.PyPerRowMs,

@@ -1,10 +1,12 @@
 package repro.baselines
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
+import repro.core.VideoProcessor
 import repro.video.{CostModel, SimDetector}
 
-/** OTIF tracking throughput on a dataset. */
-final case class OtifRun(fps: Double, trainMs: Double, modeledMs: Double, frames: Long)
+/** OTIF tracking throughput on a dataset, with the unit counts it prices. */
+final case class OtifRun(fps: Double, trainMs: Double, modeledMs: Double, frames: Long,
+                         framesWithDets: Long, detections: Long)
 
 /** OTIF stand-in (§7.1.4): tracker pre-processing with a cheap
   * segmentation-proxy model deciding which frames need the detector, and
@@ -13,23 +15,24 @@ final case class OtifRun(fps: Double, trainMs: Double, modeledMs: Double, frames
   *
   * Runtime model: proxy on every frame; detector only on frames the proxy
   * flags (any visible object — the proxy is assumed perfect, which is
-  * generous to OTIF); tracking at half rate over flagged frames.
+  * generous to OTIF); tracking at half rate over flagged frames. The
+  * detections come from the scene pass, each frame's count collected in
+  * one Spark job.
   */
 object OtifSim {
 
-  val ProxyMs      = 8.0
   val TrackingRate = 2 // track every 2nd flagged frame
 
-  def run(spark: SparkSession, frames: DataFrame, gtStates: DataFrame): OtifRun = {
-    val nFrames = frames.count()
-    val dets    = SimDetector.detect(spark, frames, gtStates).persist()
-
-    val framesWithDets = dets.select("sceneId", "frameIdx").distinct().count()
-    val detsTotal      = dets.count()
-    dets.unpersist(blocking = false)
+  def run(frames: DataFrame, gtStates: DataFrame): OtifRun = {
+    val perFrame = VideoProcessor.byScene(frames, gtStates) { (_, fs, states) =>
+      fs.map(fr => states.getOrElse(fr.frameIdx, Nil).count(SimDetector.detectOne(fr, _).isDefined))
+    }.collect().flatten
+    val nFrames        = perFrame.length.toLong
+    val framesWithDets = perFrame.count(_ > 0).toLong
+    val detsTotal      = perFrame.map(_.toLong).sum
 
     val detectorMs = CostModel.YoloMs * framesWithDets
-    val proxyMs    = ProxyMs * nFrames
+    val proxyMs    = CostModel.OtifProxyMs * nFrames
     val decodeMs   = CostModel.DecodeMs * nFrames
     // Reduced-rate tracking: half the flagged frames, all their detections.
     val trackMs = (CostModel.TrackerFrameMs * framesWithDets +
@@ -38,6 +41,7 @@ object OtifSim {
 
     val totalMs = decodeMs + proxyMs + detectorMs + trackMs
     OtifRun(fps = nFrames / (totalMs / 1000.0), trainMs = CostModel.OtifTrainMs,
-            modeledMs = totalMs, frames = nFrames)
+            modeledMs = totalMs, frames = nFrames, framesWithDets = framesWithDets,
+            detections = detsTotal)
   }
 }

@@ -22,9 +22,6 @@ final case class SkyRun(skyQueryFps: Double, spatialyzeFps: Double, prunedFracti
   */
 object SkyQuerySim {
 
-  /** Visibility distance for the aerial camera (must exceed altitude). */
-  val AerialViewDistance = 150.0
-
   private def priced(stats: repro.video.RunStats): Double =
     CostModel.videoMs(stats,
       detect = CostModel.Yolo3AerialMs,

@@ -32,11 +32,9 @@ object ExitFrameSampler {
     */
   def sampleScene(frames: Vector[FrameRow], detsByFrame: Map[Int, Seq[Det3dRow]],
                   lanes: Array[RoadSegment], intersections: Array[RoadSegment],
-                  fps: Double, maxSkip: Int = DefaultMaxSkip,
-                  speed: Double = AssumedSpeedMps): Vector[Int] = {
+                  fps: Double, maxSkip: Int = DefaultMaxSkip): Vector[Int] = {
     if (frames.isEmpty) return Vector.empty
     val n    = frames.size
-    def nDets(pos: Int): Int = detsByFrame.get(frames(pos).frameIdx).map(_.size).getOrElse(0)
 
     val out = Vector.newBuilder[Int]
     var i   = 0
@@ -56,7 +54,7 @@ object ExitFrameSampler {
       var newCarAt = -1
       while (j <= cap && newCarAt < 0) {
         val f     = frames(j)
-        val reach = speed * (f.frameIdx - cur.frameIdx) / fps + 8.0
+        val reach = AssumedSpeedMps * (f.frameIdx - cur.frameIdx) / fps + 8.0
         val cand  = detsByFrame.getOrElse(f.frameIdx, Seq.empty)
         if (cand.exists(d => curPos.forall(p => p.dist(Vec2(d.estX, d.estY)) > reach)))
           newCarAt = j
@@ -76,7 +74,7 @@ object ExitFrameSampler {
               // (i) exitsLane: last frame strictly before the car reaches
               // the lane-polygon boundary along the lane direction.
               lane.polygon.rayExitDistance(p, dir).foreach { exitDist =>
-                val exitFrame = cur.frameIdx + exitDist / speed * fps
+                val exitFrame = cur.frameIdx + exitDist / AssumedSpeedMps * fps
                 var k = i + 1
                 var lastBefore = i + 1
                 while (k <= cap && frames(k).frameIdx < exitFrame) { lastBefore = k; k += 1 }
@@ -89,7 +87,7 @@ object ExitFrameSampler {
               var exited = -1
               while (k <= cap && exited < 0) {
                 val f    = frames(k)
-                val pred = p + dir * (speed * (f.frameIdx - cur.frameIdx) / fps)
+                val pred = p + dir * (AssumedSpeedMps * (f.frameIdx - cur.frameIdx) / fps)
                 if (!CameraModel.seesGroundPoint(f.pose, f.intrinsics, pred, ViewDistance))
                   exited = k
                 k += 1

@@ -20,11 +20,13 @@ final case class Snippet(sceneId: Long, startFrame: Int, endFrame: Int) {
   */
 object OutputComposer {
 
-  /** Distinct matching frames merged into snippets; gaps of up to
-    * `mergeGap` frames are bridged so a briefly-lost object stays in one
-    * snippet.
+  /** Gaps of up to this many frames are bridged, so a briefly-lost object
+    * stays in one snippet.
     */
-  def snippets(resultRows: DataFrame, mergeGap: Int = 12): Seq[Snippet] = {
+  val MergeGap = 12
+
+  /** Distinct matching frames merged into snippets (see `MergeGap`). */
+  def snippets(resultRows: DataFrame): Seq[Snippet] = {
     val frames = resultRows.select(col("sceneId"), col("frameIdx"))
       .distinct()
       .collect()
@@ -38,7 +40,7 @@ object OutputComposer {
       var start = fs.head
       var prev  = fs.head
       fs.tail.foreach { f =>
-        if (f - prev > mergeGap + 1) {
+        if (f - prev > MergeGap + 1) {
           out += Snippet(sid, start, prev)
           start = f
         }
@@ -50,8 +52,8 @@ object OutputComposer {
   }
 
   /** Write the snippet manifest as JSON lines; returns the snippets. */
-  def saveVideos(resultRows: DataFrame, path: String, mergeGap: Int = 12): Seq[Snippet] = {
-    val snips = snippets(resultRows, mergeGap)
+  def saveVideos(resultRows: DataFrame, path: String): Seq[Snippet] = {
+    val snips = snippets(resultRows)
     val lines = snips.map { s =>
       s"""{"sceneId": ${s.sceneId}, "startFrame": ${s.startFrame}, "endFrame": ${s.endFrame}}"""
     }

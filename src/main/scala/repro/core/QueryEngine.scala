@@ -48,6 +48,15 @@ object QueryEngine {
     frames.select(col("sceneId"), col("frameIdx"), col("camX").as("x"), col("camY").as("y"),
                   col("camYaw").as("heading"))
 
+  /** Σ_f n_f^k over the frames of `objs`, the frame-aligned k-tuples of
+    * objects. It equals the sum over samples of n_f^(k−1), read from the
+    * `nFrame` column: one global aggregate, no shuffle by frame.
+    */
+  def sumNk(objs: DataFrame, k: Int): Double = {
+    val r = objs.agg(sum(pow(col("nFrame"), lit((k - 1).toDouble)))).collect()(0)
+    if (r.isNullAt(0)) 0.0 else r.getDouble(0)
+  }
+
   private def sqlLit(s: String): String = "'" + s.replace("'", "''") + "'"
 
   /** Compile the predicate into SQL and return its plan as `rows`.
@@ -136,12 +145,7 @@ object QueryEngine {
 
     // Modelled candidate-row count: frame-aligned object tuples times the
     // bbox-prefiltered construct candidates (~4 per construct ref).
-    // Σ_f n_f^k = Σ over samples of n_f^(k−1): one global sum, no shuffle
-    // by frame.
-    val k = math.max(1, objRs.size)
-    val sumNk = objs.agg(sum(pow(col("nFrame"), lit((k - 1).toDouble)))).collect()(0)
-    val base = if (sumNk.isNullAt(0)) 0.0 else sumNk.getDouble(0)
-    val rowsExamined = (base * math.pow(4.0, geoRs.size)).toLong
+    val rowsExamined = (sumNk(objs, math.max(1, objRs.size)) * math.pow(4.0, geoRs.size)).toLong
 
     // Drop the names only (`spark.catalog.dropTempView` would also
     // uncache a caller's cached `cams` or `roads`).

@@ -161,7 +161,7 @@ object VideoProcessor {
     val (rows, perFrame) =
       if (plan.flags.trackerRan) {
         val n = trackerInput.groupBy(_.frameIdx).toVector.sortBy(_._1).map(_._2.size.toLong)
-        (new SortTracker().trackScene(trackerInput), n)
+        (SortTracker.trackScene(trackerInput), n)
       } else
         (dets3d.map(d => TrackedRow(d.sceneId, d.frameIdx, d.did, d.did, d.oid, d.otype, d.estX, d.estY)),
          Vector.empty)

@@ -34,10 +34,9 @@ object AblationExperiment {
   val DefaultQueries: Seq[Query] = Seq(Queries.q1, Queries.q2, Queries.q3, Queries.q4)
 
   def run(spark: SparkSession, ds: Dataset,
-          queries: Seq[Query] = DefaultQueries,
-          setups: Seq[(String, PlanConfig)] = Setups): Seq[AblationRow] = {
+          queries: Seq[Query] = DefaultQueries): Seq[AblationRow] = {
     queries.flatMap { q =>
-      val results = setups.map { case (name, cfg) =>
+      val results = Setups.map { case (name, cfg) =>
         (name, VideoProcessor.run(spark, ds.frames, ds.gtStates, ds.net, q, cfg, ds.fps))
       }
       val sbRes   = results.find(_._1 == "SB").get._2

@@ -22,12 +22,15 @@ object SkipDistanceExperiment {
   private final case class SkipGap(skip: Int, tp: Long, fp: Long, fn: Long,
                                    withMs: Double, withoutMs: Double)
 
-  def run(spark: SparkSession, ds: Dataset, maxSkip: Int = 20): Seq[SkipRow] = {
+  /** The skip cap of the study, above the sampler's default of 13. */
+  val MaxSkip = 20
+
+  def run(spark: SparkSession, ds: Dataset): Seq[SkipRow] = {
     val lanes  = ds.net.segments.filter(_.heading.isDefined).toArray
     val inters = ds.net.ofType("intersection").toArray
     val fps    = ds.fps
     val gapsByScene = VideoProcessor.byScene(ds.frames, ds.gtStates) { (sid, frames, states) =>
-      sid -> sceneGaps(frames, states, lanes, inters, fps, maxSkip)
+      sid -> sceneGaps(frames, states, lanes, inters, fps)
     }.collect().toMap
 
     gapsByScene.values.flatten.groupBy(_.skip).toSeq.sortBy(_._1).map { case (skip, gs) =>
@@ -40,20 +43,19 @@ object SkipDistanceExperiment {
   /** The sampled gaps of one scene, in frame order. */
   private def sceneGaps(frames: Vector[FrameRow], states: Map[Int, Vector[GtStateRow]],
                         lanes: Array[RoadSegment], inters: Array[RoadSegment],
-                        fps: Double, maxSkip: Int): Seq[SkipGap] = {
+                        fps: Double): Seq[SkipGap] = {
     val dets3d = frames
       .flatMap(fr => states.getOrElse(fr.frameIdx, Nil).flatMap(SimDetector.detectOne(fr, _)))
       .filter(d => d.otype == "car" || d.otype == "truck")
       .map(Estimators.geomOne(_))
     val byFrame = dets3d.groupBy(_.frameIdx)
-    val sampled = ExitFrameSampler.sampleScene(frames, byFrame, lanes, inters, fps, maxSkip)
+    val sampled = ExitFrameSampler.sampleScene(frames, byFrame, lanes, inters, fps, MaxSkip)
     val sampledSet = sampled.toSet
 
-    val tracker = new SortTracker()
     def byFrameIds(rows: Seq[TrackedRow]): Map[Int, Map[Long, Long]] =
       rows.groupBy(_.frameIdx).view.mapValues(_.map(r => r.oid -> r.trackId).toMap).toMap
-    val gt = byFrameIds(tracker.trackScene(dets3d))
-    val pr = byFrameIds(tracker.trackScene(dets3d.filter(d => sampledSet.contains(d.frameIdx))))
+    val gt = byFrameIds(SortTracker.trackScene(dets3d))
+    val pr = byFrameIds(SortTracker.trackScene(dets3d.filter(d => sampledSet.contains(d.frameIdx))))
 
     def trackCostMs(f: Int): Double = {
       val n = byFrame.get(f).fold(0.0)(_.size.toDouble)

@@ -18,7 +18,7 @@ object SystemsExperiment {
     * optimizations.
     */
   def eva(spark: SparkSession, ds: Dataset): Seq[EvaRow] = {
-    val evaSim  = new EvaSim(spark)
+    val evaSim  = new EvaSim
     val queries = Seq(Queries.q5, Queries.q6, Queries.q7, Queries.q8)
     queries.map { q =>
       val evaRun = evaSim.run(ds.frames, ds.gtStates, ds.net, q)
@@ -52,7 +52,7 @@ object SystemsExperiment {
     val cams = QueryEngine.cams(ds.frames)
     queries.map { q =>
       val qr = QueryEngine.run(spark, q, proc.objs, cams, ds.roadsDf, ds.fps)
-      DevkitSim.compare(spark, q, proc.objs, ds.roadCountsByType, qr.rowsExamined)
+      DevkitSim.compare(q, proc.objs, ds.roadCountsByType, qr.rowsExamined)
     }
   }
 
@@ -63,7 +63,7 @@ object SystemsExperiment {
     * its S6 video-processor FPS across Q1–Q4.
     */
   def otif(spark: SparkSession, ds: Dataset): OtifRow = {
-    val o = OtifSim.run(spark, ds.frames, ds.gtStates)
+    val o = OtifSim.run(ds.frames, ds.gtStates)
     val fpsPerQuery = Seq(Queries.q1, Queries.q2, Queries.q3, Queries.q4).map { q =>
       val stats = VideoProcessor.run(spark, ds.frames, ds.gtStates, ds.net, q,
                                      PlanConfig.all, ds.fps).stats

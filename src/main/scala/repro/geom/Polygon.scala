@@ -19,8 +19,6 @@ final case class Polygon(xs: Array[Double], ys: Array[Double]) {
   lazy val minY: Double = ys.min
   lazy val maxY: Double = ys.max
 
-  def centroid: Vec2 = Vec2(xs.sum / n, ys.sum / n)
-
   /** Point-in-polygon with inclusive boundary; see `Polygon.contains`. */
   def contains(px: Double, py: Double): Boolean = Polygon.contains(xs, ys, px, py)
 

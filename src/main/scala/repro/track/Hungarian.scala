@@ -82,8 +82,4 @@ object Hungarian {
     }
     result
   }
-
-  /** Total cost of an assignment (for tests / verification). */
-  def totalCost(cost: Array[Array[Double]], assign: Array[Int]): Double =
-    assign.zipWithIndex.collect { case (j, i) if j >= 0 => cost(i)(j) }.sum
 }

@@ -13,13 +13,17 @@ final case class TrackedRow(sceneId: Long, frameIdx: Int, trackId: Long,
   * / SORT, §5.2.2 op (4)): per frame, associate detections to live tracks
   * by IoU of the velocity-predicted bounding box using the Hungarian
   * method, spawn tracks for unmatched detections, and retire tracks not
-  * seen for `maxAgeFrames`.
+  * seen for `MaxAgeFrames`.
   *
   * The tracker is the stateful streaming operator of the paper; here each
   * scene's detection stream is processed sequentially inside one Spark
   * task (scenes run in parallel across the cluster).
   */
-final class SortTracker(iouGate: Double = 0.05, maxAgeFrames: Int = 30) {
+object SortTracker {
+
+  /** Least IoU with a track's predicted bbox for a detection to join it. */
+  val IouGate      = 0.05
+  val MaxAgeFrames = 30
 
   private final case class Track(id: Long, otype: String, var lastFrame: Int,
                                  var x1: Double, var y1: Double, var x2: Double, var y2: Double,
@@ -46,8 +50,8 @@ final class SortTracker(iouGate: Double = 0.05, maxAgeFrames: Int = 30) {
 
     byFrame.foreach { case (f, frameDets0) =>
       val frameDets = frameDets0.sortBy(_.did)
-      // Retire tracks unseen for longer than maxAge BEFORE association.
-      tracks = tracks.filter(t => f - t.lastFrame <= maxAgeFrames)
+      // Retire tracks unseen for longer than MaxAgeFrames BEFORE association.
+      tracks = tracks.filter(t => f - t.lastFrame <= MaxAgeFrames)
       // Predict each live track's bbox at frame f (constant pixel velocity).
       val preds = tracks.map { t =>
         val dt = (f - t.lastFrame).toDouble
@@ -59,7 +63,7 @@ final class SortTracker(iouGate: Double = 0.05, maxAgeFrames: Int = 30) {
         val v = iou(d.x1, d.y1, d.x2, d.y2, px1, py1, px2, py2)
         // Class-aware association (the appearance-feature proxy: a
         // StrongSORT-style tracker almost never switches classes).
-        if (t.otype != d.otype || v < iouGate) Hungarian.Forbidden else 1.0 - v
+        if (t.otype != d.otype || v < IouGate) Hungarian.Forbidden else 1.0 - v
       }
       val assign = Hungarian.solve(cost)
       frameDets.zipWithIndex.foreach { case (d, i) =>
@@ -81,7 +85,7 @@ final class SortTracker(iouGate: Double = 0.05, maxAgeFrames: Int = 30) {
           }
         out += TrackedRow(d.sceneId, f, track.id, d.did, d.oid, d.otype, d.estX, d.estY)
       }
-      tracks = tracks.filter(t => f - t.lastFrame <= maxAgeFrames)
+      tracks = tracks.filter(t => f - t.lastFrame <= MaxAgeFrames)
     }
     out.result()
   }

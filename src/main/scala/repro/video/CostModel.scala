@@ -91,7 +91,7 @@ object CostModel {
   // Comparator-system specifics.
   val EvaFrameEvalMs    = 1.5
   val EvaCacheReadMs    = 2.0
-  val OtifProxyMs       = 6.0
+  val OtifProxyMs       = 8.0
   val VivaPlanOverheadMs = 40000.0
   val OtifTrainMs        = 61.0 * 60000 + 37000 // 61m37s (§7.1.4)
 

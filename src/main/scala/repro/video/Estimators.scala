@@ -1,6 +1,5 @@
 package repro.video
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.geom._
 
 /** A detection with an estimated 3D (ground-plane) location.
@@ -26,6 +25,9 @@ object Estimators {
   /** Relative depth error of the simulated monocular-depth model. */
   val MlDepthNoise = 0.05
 
+  /** Seed of the depth-noise draws. */
+  private val Seed = 211L
+
   private def withEst(d: DetRow, estX: Double, estY: Double, method: String): Det3dRow =
     Det3dRow(d.sceneId, d.frameIdx, d.did, d.oid, d.otype, d.x1, d.y1, d.x2, d.y2,
              d.zc, d.gtX, d.gtY, d.camX, d.camY, d.camZ, d.camYaw, d.camPitch,
@@ -34,8 +36,8 @@ object Estimators {
   /** Monodepth2 stand-in: true depth perturbed by deterministic noise,
     * placed along the pixel ray through the bbox bottom-center.
     */
-  def mlOne(d: DetRow, seed: Long = 211): Det3dRow = {
-    val noise = 1.0 + (Rng.hash01(seed, d.sceneId, d.frameIdx.toLong, d.did) * 2 - 1) * MlDepthNoise
+  def mlOne(d: DetRow): Det3dRow = {
+    val noise = 1.0 + (Rng.hash01(Seed, d.sceneId, d.frameIdx.toLong, d.did) * 2 - 1) * MlDepthNoise
     val p     = CameraModel.pixelAtDepth(d.pose, d.intrinsics, d.bottomCenterX, d.y2, d.zc * noise)
     withEst(d, p.x, p.y, "ml")
   }
@@ -44,14 +46,9 @@ object Estimators {
     * bottom-center with the ground plane z=0; fall back to the ML path if
     * the solution is behind the camera / above the horizon (§6.3.3).
     */
-  def geomOne(d: DetRow, seed: Long = 211): Det3dRow =
+  def geomOne(d: DetRow): Det3dRow =
     CameraModel.pixelToGround(d.pose, d.intrinsics, d.bottomCenterX, d.y2) match {
       case Some(p) => withEst(d, p.x, p.y, "geom")
-      case None    => mlOne(d, seed).copy(method = "geom_fallback")
+      case None    => mlOne(d).copy(method = "geom_fallback")
     }
-
-  def ml(spark: SparkSession, dets: DataFrame, seed: Long = 211): DataFrame = {
-    import spark.implicits._
-    dets.as[DetRow].map(mlOne(_, seed)).toDF()
-  }
 }

@@ -1,7 +1,5 @@
 package repro.video
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions.col
 import repro.geom._
 import repro.world.{FrameRow, GtStateRow}
 
@@ -40,20 +38,23 @@ object SimDetector {
 
   val MaxDetectDistance = 130.0
 
+  /** Seed of the miss and jitter draws. */
+  private val Seed = 101L
+
   private def detectProb(zc: Double): Double =
     if (zc < 40) 0.98 else if (zc < 80) 0.90 else 0.78
 
   /** Detect one ground-truth state `s` of frame `fr` (same scene and frame). */
-  def detectOne(fr: FrameRow, s: GtStateRow, seed: Long = 101): Option[DetRow] = {
+  def detectOne(fr: FrameRow, s: GtStateRow): Option[DetRow] = {
     val it = fr.intrinsics
     CameraModel.worldToPixel(fr.pose, it, Vec3(s.x, s.y, 0.0)).flatMap { case (xp0, yp0, zc) =>
       if (zc < 2.0 || zc > MaxDetectDistance || !CameraModel.inImage(it, xp0, yp0)) None
-      else if (Rng.hash01(seed, s.sceneId, s.frameIdx.toLong, s.oid) >= detectProb(zc)) None
+      else if (Rng.hash01(Seed, s.sceneId, s.frameIdx.toLong, s.oid) >= detectProb(zc)) None
       else {
         val (halfW, objH) = Dims.getOrElse(s.otype, (0.8, 1.5))
         // Sub-pixel measurement noise on the bbox bottom-center.
-        val jx = (Rng.hash01(seed + 1, s.sceneId, s.frameIdx.toLong, s.oid) - 0.5)
-        val jy = (Rng.hash01(seed + 2, s.sceneId, s.frameIdx.toLong, s.oid) - 0.5)
+        val jx = (Rng.hash01(Seed + 1, s.sceneId, s.frameIdx.toLong, s.oid) - 0.5)
+        val jy = (Rng.hash01(Seed + 2, s.sceneId, s.frameIdx.toLong, s.oid) - 0.5)
         val xp = xp0 + jx; val yp = yp0 + jy
         val wpx = fr.fx * halfW / zc
         val hpx = fr.fy * objH / zc
@@ -64,18 +65,5 @@ object SimDetector {
                     fr.fx, fr.fy, fr.skew, fr.px0, fr.py0, fr.imgW, fr.imgH))
       }
     }
-  }
-
-  /** Run the detector over every (frame, object) pair of the given frames.
-    * Cost accounting (one detector invocation per frame) happens in the
-    * caller via frame counts — see CostModel.
-    */
-  def detect(spark: SparkSession, frames: DataFrame, gtStates: DataFrame, seed: Long = 101): DataFrame = {
-    import spark.implicits._
-    val f = frames.as[FrameRow].as("f")
-    val g = gtStates.as[GtStateRow].as("g")
-    f.joinWith(g, col("f.sceneId") === col("g.sceneId") && col("f.frameIdx") === col("g.frameIdx"))
-      .flatMap { case (fr, s) => detectOne(fr, s, seed) }
-      .toDF()
   }
 }

@@ -26,9 +26,6 @@ final case class RoadNetwork(segments: Vector[RoadSegment], params: GridParams) 
   def laneAt(p: Vec2): Option[RoadSegment] =
     segments.find(s => (s.rtype == "lane" || s.rtype == "bikeLane") && s.polygon.contains(p))
 
-  def intersectionAt(p: Vec2): Option[RoadSegment] =
-    segments.find(s => s.rtype == "intersection" && s.polygon.contains(p))
-
   /** Geographic-construct table for the geospatial metadata store
     * (paper §5.2.1). The Catalyst bbox-prefilter rule (the "spatial
     * index" analogue) derives each box from the `xs`/`ys` vertex arrays.

@@ -1,10 +1,10 @@
 package repro.baselines
 
-import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
+import repro.core.DataFrameDetector
 import repro.exp.Scenarios
-import repro.sflow.{Analyzer, And, CamRef, DistanceLt, Pred, Queries}
-import repro.video.CostModel
+import repro.sflow.{Analyzer, And, CamRef, DistanceLt, Pred, Queries, Query}
+import repro.video.{CostModel, Det3dRow}
 
 class BaselinesSpec extends SparkSpec {
 
@@ -12,8 +12,29 @@ class BaselinesSpec extends SparkSpec {
   private lazy val jak = Scenarios.jackson(spark, nClips = 3)
   private lazy val sky = Scenarios.sky(spark, nFlights = 2)
 
+  private val evaSeries = Seq(Queries.q5, Queries.q6, Queries.q7, Queries.q8)
+
+  /** Q7 with its car anywhere within 50 m of the camera, not 10 m. */
+  private val q7Wide = Queries.q7.copy(name = "Q7w", pred = And(Pred.conjuncts(Queries.q7.pred).map {
+    case DistanceLt(CamRef, o, 10.0) => DistanceLt(CamRef, o, Analyzer.DefaultVisibilityDistance)
+    case p                           => p
+  }))
+
+  /** EVA's answer through the whole-DataFrame detector: detect → ml →
+    * filter → per-frame count, then the frames whose count reaches the
+    * object references.
+    */
+  private def evaReference(q: Query): Long = {
+    import spark.implicits._
+    DataFrameDetector.ml(spark, DataFrameDetector.detect(spark, nus.frames, nus.gtStates))
+      .as[Det3dRow].filter(EvaSim.keeps(nus.net, q))
+      .groupByKey(d => (d.sceneId, d.frameIdx)).count()
+      .filter(_._2 >= q.requirements.objRefs.size)
+      .count()
+  }
+
   test("EVA: the first query pays the detector, later queries hit the materialized cache") {
-    val eva = new EvaSim(spark)
+    val eva = new EvaSim
     val r5  = eva.run(nus.frames, nus.gtStates, nus.net, Queries.q5)
     val r6  = eva.run(nus.frames, nus.gtStates, nus.net, Queries.q6)
     assert(r5.modeledMs > r6.modeledMs, "cache must make the second query cheaper")
@@ -22,28 +43,38 @@ class BaselinesSpec extends SparkSpec {
   }
 
   test("EVA: still pays the depth model on every query (why Spatialyze wins Q5-Q7)") {
-    val eva = new EvaSim(spark)
+    val eva = new EvaSim
     val r6  = eva.run(nus.frames, nus.gtStates, nus.net, Queries.q6)
     assert(r6.modeledMs > CostModel.MonodepthMs * nus.frames.count())
   }
 
   test("EVA produces matching frames for the built-in scenarios") {
-    val eva = new EvaSim(spark)
+    val eva = new EvaSim
     val r5  = eva.run(nus.frames, nus.gtStates, nus.net, Queries.q5)
     assert(r5.resultFrames > 0, "pedestrians at intersections exist in the world")
   }
 
   test("EVA applies the query's camera-distance bound (Q7: a car within 10 m)") {
-    val eva  = new EvaSim(spark)
-    val wide = Queries.q7.copy(name = "Q7w", pred = And(Pred.conjuncts(Queries.q7.pred).map {
-      case DistanceLt(CamRef, o, 10.0) => DistanceLt(CamRef, o, Analyzer.DefaultVisibilityDistance)
-      case p                           => p
-    }))
-    assert(wide.pred != Queries.q7.pred)
+    val eva  = new EvaSim
+    assert(q7Wide.pred != Queries.q7.pred)
     val near = eva.run(nus.frames, nus.gtStates, nus.net, Queries.q7).resultFrames
-    val far  = eva.run(nus.frames, nus.gtStates, nus.net, wide).resultFrames
+    val far  = eva.run(nus.frames, nus.gtStates, nus.net, q7Wide).resultFrames
     info(s"Q7 EVA frames: $near within 10 m, $far within 50 m")
     assert(near < far)
+  }
+
+  test("EVA's frames match the whole-DataFrame detector's (Q5-Q8, and Q7 within 50 m)") {
+    val eva = new EvaSim
+    (evaSeries :+ q7Wide).foreach { q =>
+      assert(eva.run(nus.frames, nus.gtStates, nus.net, q).resultFrames === evaReference(q), q.name)
+    }
+  }
+
+  test("EVA runs Q5-Q8 in series in at most 8 Spark jobs") {
+    val eva  = new EvaSim
+    val work = sparkJobs("eva-series")(evaSeries.foreach(eva.run(nus.frames, nus.gtStates, nus.net, _)))
+    info(s"EVA Q5-Q8 ran $work")
+    assert(work.jobs <= 8 && work.tasks < 64, s"EVA Q5-Q8 ran $work")
   }
 
   test("VIVA comparison: speedup on the static jackson camera is smaller than on nuScenes") {
@@ -59,7 +90,7 @@ class BaselinesSpec extends SparkSpec {
                                              Queries.q2, repro.core.PlanConfig.baseline, nus.fps)
     val cams = nus.frames.selectExpr("sceneId", "frameIdx", "camX as x", "camY as y", "camYaw as heading")
     val qr = repro.core.QueryEngine.run(spark, Queries.q2, proc.objs, cams, nus.roadsDf, nus.fps)
-    val r  = DevkitSim.compare(spark, Queries.q2, proc.objs, nus.roadCountsByType, qr.rowsExamined)
+    val r  = DevkitSim.compare(Queries.q2, proc.objs, nus.roadCountsByType, qr.rowsExamined)
     info(f"Q2 devkit speedup ${r.speedup}%.0f x")
     assert(!r.oom)
     assert(r.speedup > 50 && r.speedup < 2000, s"speedup ${r.speedup} outside plausible band")
@@ -68,20 +99,35 @@ class BaselinesSpec extends SparkSpec {
   test("devkit comparison: Q4's triple self-join exceeds memory (the paper's OOM)") {
     val proc = repro.core.VideoProcessor.run(spark, nus.frames, nus.gtStates, nus.net,
                                              Queries.q2, repro.core.PlanConfig.baseline, nus.fps)
-    val r = DevkitSim.compare(spark, Queries.q4, proc.objs, nus.roadCountsByType, 1000L)
+    val r = DevkitSim.compare(Queries.q4, proc.objs, nus.roadCountsByType, 1000L)
     assert(r.oom, s"Q4 devkit rows ${r.devkitRows} should exceed ${CostModel.DevkitOomRows}")
   }
 
   test("OTIF: throughput lands near the paper's 17.3 fps and training time is reported") {
-    val r = OtifSim.run(spark, nus.frames, nus.gtStates)
+    val r = OtifSim.run(nus.frames, nus.gtStates)
     info(f"OTIF ${r.fps}%.1f fps (paper 17.3)")
     assert(r.fps > 10 && r.fps < 30, s"OTIF fps ${r.fps}")
     assert(r.trainMs === CostModel.OtifTrainMs)
   }
 
+  test("OTIF's unit counts match the whole-DataFrame detector's") {
+    val r    = OtifSim.run(nus.frames, nus.gtStates)
+    val dets = DataFrameDetector.detect(spark, nus.frames, nus.gtStates)
+    assert(r.frames === nus.frames.count())
+    assert(r.framesWithDets === dets.select("sceneId", "frameIdx").distinct().count())
+    assert(r.detections === dets.count())
+  }
+
+  test("OTIF runs in one Spark job") {
+    nus.frames.count(); nus.gtStates.count()
+    val work = sparkJobs("otif")(OtifSim.run(nus.frames, nus.gtStates))
+    info(s"OTIF ran $work")
+    assert(work.jobs === 1, s"OTIF ran $work")
+  }
+
   test("OTIF leaves no cache behind") {
     nus.frames.count(); nus.gtStates.count()
-    assert(persistedBy(OtifSim.run(spark, nus.frames, nus.gtStates)).isEmpty)
+    assert(persistedBy(OtifSim.run(nus.frames, nus.gtStates)).isEmpty)
   }
 
   test("SkyQuery: Spatialyze's RVP yields a moderate speedup on the aerial workload (paper 1.18x)") {

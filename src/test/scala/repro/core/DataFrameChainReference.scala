@@ -5,7 +5,7 @@ import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import repro.sflow.Query
 import repro.track.SortTracker
-import repro.video.{Det3dRow, DetRow, Estimators, RunStats, SimDetector}
+import repro.video.{Det3dRow, DetRow, Estimators, RunStats}
 import repro.world.{FrameRow, RoadNetwork}
 
 /** Reference for `VideoProcessorEquivalenceSpec`: the video processor as a
@@ -31,7 +31,7 @@ object DataFrameChainReference {
       } else frames
     val framesAfterRvp = kept.count()
 
-    val dets       = SimDetector.detect(spark, kept, gtStates)
+    val dets       = DataFrameDetector.detect(spark, kept, gtStates)
     val detections = dets.count()
 
     val otpApplied = config.otp && req.typesOfInterest.isDefined
@@ -42,7 +42,7 @@ object DataFrameChainReference {
     val geomApplied = config.geom3d && req.geomApplicable
     val dets3d =
       if (geomApplied) detsTyped.as[DetRow].map(Estimators.geomOne(_)).toDF()
-      else Estimators.ml(spark, detsTyped)
+      else DataFrameDetector.ml(spark, detsTyped)
     val geomDets = if (geomApplied) dets3d.filter(col("method") === "geom").count() else 0L
     val depthFrames =
       (if (geomApplied) dets3d.filter(col("method") === "geom_fallback") else dets3d)
@@ -67,7 +67,7 @@ object DataFrameChainReference {
     val (tracked, trackerFrames, trackerDets, trackerPairOps) =
       if (trackerRan) {
         val t = trackerInput.as[Det3dRow].groupByKey(_.sceneId)
-          .flatMapGroups((_, it) => new SortTracker().trackScene(it.toSeq).iterator)
+          .flatMapGroups((_, it) => SortTracker.trackScene(it.toSeq).iterator)
           .toDF()
         val perFrame = trackerInput.groupBy("sceneId", "frameIdx").agg(count("*").as("n"))
         val w        = Window.partitionBy("sceneId").orderBy("frameIdx")

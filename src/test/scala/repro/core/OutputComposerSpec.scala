@@ -17,7 +17,7 @@ class OutputComposerSpec extends SparkSpec {
   }
 
   test("small gaps are bridged, large gaps split") {
-    val s = OutputComposer.snippets(rows((0L, 1), (0L, 5), (0L, 40)), mergeGap = 10)
+    val s = OutputComposer.snippets(rows((0L, 1), (0L, 5), (0L, 40)))
     assert(s === Seq(Snippet(0L, 1, 5), Snippet(0L, 40, 40)))
   }
 

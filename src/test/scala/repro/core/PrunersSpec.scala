@@ -4,7 +4,6 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
 import repro.geom.CameraModel
 import repro.sflow.{ObjRef, Query, TypeIs}
-import repro.video.SimDetector
 import repro.world._
 
 class PrunersSpec extends SparkSpec {
@@ -58,7 +57,7 @@ class PrunersSpec extends SparkSpec {
   test("RVP soundness: every frame with a matching detection near an intersection is kept") {
     import spark.implicits._
     val kept = rvpKept(("intersection", 50.0)).map(f => (f.sceneId, f.frameIdx)).toSet
-    val dets = SimDetector.detect(spark, frames, gt).as[repro.video.DetRow].collect()
+    val dets = DataFrameDetector.detect(spark, frames, gt).as[repro.video.DetRow].collect()
     val inters = net.ofType("intersection")
     // Ground-truth-matching detections: at an intersection, within 50 m.
     val matching = dets.filter { d =>

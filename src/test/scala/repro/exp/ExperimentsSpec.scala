@@ -71,7 +71,7 @@ class ExperimentsSpec extends SparkSpec {
   }
 
   test("skip-distance study produces buckets with decreasing runtime ratio") {
-    val rows = SkipDistanceExperiment.run(spark, ds, maxSkip = 20)
+    val rows = SkipDistanceExperiment.run(spark, ds)
     assert(rows.nonEmpty)
     info(rows.map(r => f"skip=${r.skip} gaps=${r.gaps} f1=${r.f1}%.2f ratio=${r.runtimeRatio}%.2f").mkString("; "))
     val smallSkip = rows.filter(_.skip <= 1).map(_.runtimeRatio)
@@ -84,7 +84,7 @@ class ExperimentsSpec extends SparkSpec {
   }
 
   test("skip-distance F1 stays high for small skips") {
-    val rows = SkipDistanceExperiment.run(spark, ds, maxSkip = 20)
+    val rows = SkipDistanceExperiment.run(spark, ds)
     val small = rows.filter(r => r.skip >= 1 && r.skip <= 4 && r.gaps >= 5)
     small.foreach { r =>
       assert(r.f1 > 0.6, s"skip ${r.skip} F1 ${r.f1} too low (${r.gaps} gaps)")

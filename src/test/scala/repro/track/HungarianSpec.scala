@@ -6,6 +6,10 @@ import repro.PropHelpers
 
 class HungarianSpec extends AnyFunSuite with PropHelpers {
 
+  /** Total cost of an assignment. */
+  private def totalCost(cost: Array[Array[Double]], assign: Array[Int]): Double =
+    assign.zipWithIndex.collect { case (j, i) if j >= 0 => cost(i)(j) }.sum
+
   /** Exhaustive minimum assignment for small matrices. Unassignable pairs
     * (>= Forbidden) are left unmatched.
     */
@@ -65,7 +69,7 @@ class HungarianSpec extends AnyFunSuite with PropHelpers {
       Array(2.0, 0.0, 5.0),
       Array(3.0, 2.0, 2.0))
     val a = Hungarian.solve(cost)
-    assert(Hungarian.totalCost(cost, a) === 5.0) // 1 + 2 + 2
+    assert(totalCost(cost, a) === 5.0) // 1 + 2 + 2
     assert(a.toSet.size === 3)
   }
 
@@ -119,7 +123,7 @@ class HungarianSpec extends AnyFunSuite with PropHelpers {
     }
     forAllG(g, trials = 200) { cost =>
       val a    = Hungarian.solve(cost)
-      val mine = Hungarian.totalCost(cost, a)
+      val mine = totalCost(cost, a)
       val opt  = bruteForce(cost)
       assert(math.abs(mine - opt) < 1e-6, s"got $mine, optimum $opt for ${cost.map(_.mkString(",")).mkString(";")}")
     }

@@ -16,7 +16,7 @@ class SortTrackerSpec extends SparkSpec {
              fx = 800, fy = 800, skew = 0, px0 = 800, py0 = 450, imgW = 1600, imgH = 900,
              estX = 0, estY = 0, method = "geom")
 
-  private val tracker = new SortTracker()
+  private val tracker = SortTracker
 
   test("a single slowly-moving object stays on one track") {
     val dets = (0 until 50).map(f => det(f, 1, 100 + f * 3.0, 200))

@@ -2,6 +2,7 @@ package repro.video
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
+import repro.core.DataFrameDetector
 import repro.world.{WorldGen, WorldParams}
 
 class EstimatorsSpec extends SparkSpec {
@@ -9,7 +10,7 @@ class EstimatorsSpec extends SparkSpec {
   private val p = WorldParams.nuscenes(nScenes = 2)
   private lazy val frames = WorldGen.frames(spark, p).persist()
   private lazy val gt     = WorldGen.gtStates(spark, p).persist()
-  private lazy val dets   = SimDetector.detect(spark, frames, gt).persist()
+  private lazy val dets   = DataFrameDetector.detect(spark, frames, gt).persist()
   private lazy val geom   = {
     import spark.implicits._
     dets.as[DetRow].collect().map(Estimators.geomOne(_))
@@ -27,7 +28,7 @@ class EstimatorsSpec extends SparkSpec {
   test("ML estimator is noisier than the geometry estimator but unbiased-ish") {
     import spark.implicits._
     val geomErr = geom.filter(_.method == "geom").map(d => math.hypot(d.estX - d.gtX, d.estY - d.gtY))
-    val ml = Estimators.ml(spark, dets).as[Det3dRow].collect()
+    val ml = DataFrameDetector.ml(spark, dets).as[Det3dRow].collect()
       .map(d => math.hypot(d.estX - d.gtX, d.estY - d.gtY))
     val geomMean = geomErr.sum / geomErr.size
     val mlMean   = ml.sum / ml.size
@@ -37,7 +38,7 @@ class EstimatorsSpec extends SparkSpec {
   }
 
   test("ml estimator marks every row 'ml'") {
-    val methods = Estimators.ml(spark, dets).select("method").distinct().collect().map(_.getString(0))
+    val methods = DataFrameDetector.ml(spark, dets).select("method").distinct().collect().map(_.getString(0))
     assert(methods.toSet === Set("ml"))
   }
 
@@ -55,8 +56,8 @@ class EstimatorsSpec extends SparkSpec {
   }
 
   test("estimators are deterministic") {
-    val a = Estimators.ml(spark, dets).orderBy("did").collect().map(_.toString)
-    val b = Estimators.ml(spark, dets).orderBy("did").collect().map(_.toString)
+    val a = DataFrameDetector.ml(spark, dets).orderBy("did").collect().map(_.toString)
+    val b = DataFrameDetector.ml(spark, dets).orderBy("did").collect().map(_.toString)
     assert(a.sameElements(b))
   }
 }

@@ -2,6 +2,7 @@ package repro.video
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
+import repro.core.DataFrameDetector
 import repro.geom.{CameraModel, Vec3}
 import repro.world.{FrameRow, GtStateRow, SceneGen, WorldGen, WorldParams}
 
@@ -10,7 +11,7 @@ class SimDetectorSpec extends SparkSpec {
   private val p = WorldParams.nuscenes(nScenes = 2)
   private lazy val frames = WorldGen.frames(spark, p).persist()
   private lazy val gt     = WorldGen.gtStates(spark, p).persist()
-  private lazy val dets   = SimDetector.detect(spark, frames, gt).persist()
+  private lazy val dets   = DataFrameDetector.detect(spark, frames, gt).persist()
 
   test("detector produces a sensible volume of detections") {
     val n = dets.count()
@@ -21,8 +22,8 @@ class SimDetectorSpec extends SparkSpec {
   }
 
   test("detections are deterministic across invocations") {
-    val a = SimDetector.detect(spark, frames, gt).collect().map(_.toString).sorted
-    val b = SimDetector.detect(spark, frames, gt).collect().map(_.toString).sorted
+    val a = DataFrameDetector.detect(spark, frames, gt).collect().map(_.toString).sorted
+    val b = DataFrameDetector.detect(spark, frames, gt).collect().map(_.toString).sorted
     assert(a.sameElements(b))
   }
 
@@ -74,7 +75,7 @@ class SimDetectorSpec extends SparkSpec {
         }
       }
       if (inBand.isEmpty) 1.0
-      else inBand.count { case (fr, s) => SimDetector.detectOne(fr, s, 101).isDefined }.toDouble / inBand.size
+      else inBand.count { case (fr, s) => SimDetector.detectOne(fr, s).isDefined }.toDouble / inBand.size
     }
     val near = rate(2, 40)
     val far  = rate(80, 120)

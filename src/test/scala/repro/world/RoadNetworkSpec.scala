@@ -3,8 +3,10 @@ package repro.world
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
 import repro.geom.{Polygon, Vec2}
+import repro.geom.PolygonSpec.centroid
 
 class RoadNetworkSpec extends SparkSpec {
+  import RoadNetworkSpec.intersectionAt
 
   private val params = GridParams()
   private val net    = RoadNetwork.grid(params)
@@ -46,7 +48,7 @@ class RoadNetworkSpec extends SparkSpec {
     val east = net.lanes.filter(_.heading.contains(0.0))
     assert(east.nonEmpty)
     east.foreach { l =>
-      val cy = l.polygon.centroid.y
+      val cy = centroid(l.polygon).y
       val roadY = math.round(cy / params.spacing) * params.spacing
       assert(cy < roadY, s"eastbound lane centroid $cy should sit below road y=$roadY")
     }
@@ -61,14 +63,14 @@ class RoadNetworkSpec extends SparkSpec {
   }
 
   test("intersectionAt finds crossings and rejects mid-block points") {
-    assert(net.intersectionAt(Vec2(params.spacing, params.spacing)).isDefined)
-    assert(net.intersectionAt(Vec2(params.spacing / 2, params.spacing / 2)).isEmpty)
+    assert(intersectionAt(net, Vec2(params.spacing, params.spacing)).isDefined)
+    assert(intersectionAt(net, Vec2(params.spacing / 2, params.spacing / 2)).isEmpty)
   }
 
   test("lanes do not overlap intersections") {
     val inters = net.ofType("intersection")
     net.lanes.foreach { l =>
-      val c = l.polygon.centroid
+      val c = centroid(l.polygon)
       assert(inters.forall(!_.polygon.contains(c)), s"lane ${l.rid} centroid inside an intersection")
     }
   }
@@ -82,4 +84,11 @@ class RoadNetworkSpec extends SparkSpec {
     val headings = df.filter(df("rtype") === "lane").select("heading").collect()
     assert(headings.forall(!_.isNullAt(0)))
   }
+}
+
+object RoadNetworkSpec {
+
+  /** The intersection containing a ground point, if any. */
+  def intersectionAt(net: RoadNetwork, p: Vec2): Option[RoadSegment] =
+    net.ofType("intersection").find(_.polygon.contains(p))
 }

@@ -5,6 +5,7 @@ import repro.SparkSpec
 import repro.geom.{Heading, Vec2}
 
 class WorldGenSpec extends SparkSpec {
+  import RoadNetworkSpec.intersectionAt
 
   private val p   = WorldParams.nuscenes(nScenes = 3)
   private val net = RoadNetwork.grid(p.grid)
@@ -35,7 +36,7 @@ class WorldGenSpec extends SparkSpec {
       val frs = SceneGen.frames(p, sid)
       val off = frs.count { f =>
         val pos = Vec2(f.camX, f.camY)
-        net.laneAt(pos).isEmpty && net.intersectionAt(pos).isEmpty
+        net.laneAt(pos).isEmpty && intersectionAt(net, pos).isEmpty
       }
       assert(off.toDouble / frs.size < 0.15, s"scene $sid: ${off * 100.0 / frs.size}% of ego frames off-road")
     }
