@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.DataFrame
 import repro.core.QueryEngine
-import repro.sflow.{Pred, Query}
+import repro.sflow.Query
 import repro.video.CostModel
 
 /** nuScenes-devkit-style evaluation of one query against already-processed
@@ -32,8 +32,8 @@ object DevkitSim {
     */
   def compare(query: Query, objs: DataFrame,
               roadCountsByType: Map[String, Long], spatialyzeRows: Long): DevkitRun = {
-    val k = math.max(1, Pred.objRefs(query.pred).size)
-    val geoFactor = Pred.geoRefs(query.pred)
+    val k = math.max(1, query.requirements.objRefs.size)
+    val geoFactor = query.requirements.geoRefs
       .map(g => roadCountsByType.getOrElse(g.geoType, 1L).toDouble)
       .product
 

@@ -1,11 +1,10 @@
 package repro.baselines
 
-import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
 import repro.core.VideoProcessor
-import repro.sflow.{Analyzer, CamRef, DistanceLt, Pred, Query}
-import repro.video.{CostModel, Det3dRow, DetRow, Estimators, SimDetector}
-import repro.world.RoadNetwork
+import repro.sflow.{Analyzer, Pred, Query}
+import repro.video.{CostModel, Det3dRow, Estimators, SimDetector}
+import repro.world.{FrameRow, RoadNetwork}
 
 /** Result of one EVA query execution. */
 final case class EvaRun(query: String, modeledMs: Double, resultFrames: Long)
@@ -17,49 +16,41 @@ final case class EvaRun(query: String, modeledMs: Double, resultFrames: Long)
   * detector outputs from the first query. The monocular-depth UDF is
   * re-invoked per query (its call signature differs per predicate), which
   * is what keeps EVA 2–7.3× slower than Spatialyze on Q5–Q7 despite the
-  * cache. The detector runs in the scene pass, once: its per-frame
-  * detections stay persisted across the queries of a series.
+  * cache. The detector runs in the scene pass, once per series: its
+  * per-frame detections stay persisted across the series' queries and are
+  * released when the series ends.
   */
-final class EvaSim {
-
-  /** The materialized detector output: one vector of detections per frame. */
-  private var cachedDets: Option[RDD[Vector[DetRow]]] = None
-
-  /** Execute a detection-only query (Q5–Q8 shape) the EVA way. */
-  def run(frames: DataFrame, gtStates: DataFrame, net: RoadNetwork, query: Query): EvaRun = {
-    val materialized = cachedDets.isDefined
-    val dets = cachedDets.getOrElse {
-      val d = VideoProcessor.byScene(frames, gtStates) { (_, fs, states) =>
-        fs.map(fr => states.getOrElse(fr.frameIdx, Vector.empty).flatMap(SimDetector.detectOne(fr, _)))
-      }.flatMap(identity).persist()
-      cachedDets = Some(d)
-      d
-    }
-
-    // Frame-by-frame evaluation: each frame's count of kept detections, in
-    // one Spark job (the first also fills the cache).
-    val keep    = EvaSim.keeps(net, query)
-    val counts  = dets.map(_.iterator.map(Estimators.mlOne).count(keep)).collect()
-    val nFrames = counts.length.toLong
-    val minMatches   = query.requirements.objRefs.size
-    val resultFrames = counts.count(n => n > 0 && n >= minMatches).toLong
-
-    val detectorMs =
-      if (materialized) CostModel.EvaCacheReadMs * nFrames
-      else (CostModel.DecodeMs + CostModel.YoloMs) * nFrames
-    val ms = detectorMs + CostModel.MonodepthMs * nFrames + CostModel.EvaFrameEvalMs * nFrames
-
-    EvaRun(query.name, ms, resultFrames)
-  }
-}
-
 object EvaSim {
 
-  /** Which located detections `query` keeps: the (type, containment,
-    * distance) filter. A frame qualifies when it keeps one detection per
-    * object reference.
+  /** Execute detection-only queries (Q5–Q8 shape) in series the EVA way. */
+  def run(frames: DataFrame, gtStates: DataFrame, net: RoadNetwork, queries: Seq[Query]): Seq[EvaRun] = {
+    // The materialized detector output: one vector of detections per frame.
+    val dets = VideoProcessor.byScene(frames, gtStates) { (_, fs, states) =>
+      fs.map(fr => states.getOrElse(fr.frameIdx, Vector.empty).flatMap(SimDetector.detectOne(fr, _)))
+    }.flatMap(identity).persist()
+    try queries.zipWithIndex.map { case (query, i) =>
+      // Frame-by-frame evaluation: each frame's count of kept detections, in
+      // one Spark job (the first also fills the cache).
+      val keep    = keeps(net, query)
+      val counts  = dets.map(_.count(d => keep(d.frame, Estimators.mlOne(d)))).collect()
+      val nFrames = counts.length.toLong
+      val minMatches   = query.requirements.objRefs.size
+      val resultFrames = counts.count(n => n > 0 && n >= minMatches).toLong
+
+      val detectorMs =
+        if (i > 0) CostModel.EvaCacheReadMs * nFrames
+        else (CostModel.DecodeMs + CostModel.YoloMs) * nFrames
+      val ms = detectorMs + CostModel.MonodepthMs * nFrames + CostModel.EvaFrameEvalMs * nFrames
+
+      EvaRun(query.name, ms, resultFrames)
+    } finally dets.unpersist()
+  }
+
+  /** Which located detections of a frame `query` keeps: the (type,
+    * containment, distance from the frame's camera) filter. A frame
+    * qualifies when it keeps one detection per object reference.
     */
-  def keeps(net: RoadNetwork, query: Query): Det3dRow => Boolean = {
+  def keeps(net: RoadNetwork, query: Query): (FrameRow, Det3dRow) => Boolean = {
     val req   = query.requirements
     val types = req.typesOfInterest.getOrElse(Set.empty)
     val geoTypes = req.rvpTargets.map(_._1).distinct
@@ -67,13 +58,11 @@ object EvaSim {
     // A detection may stand for any object reference, so it must lie within
     // the loosest of their camera-distance bounds (Q7: the car's 10 m). An
     // object without a bound gets the 50 m default.
-    val cs = Pred.conjuncts(query.pred)
-    val maxDist = req.objRefs.map { o =>
-      cs.collect { case DistanceLt(CamRef, `o`, d) => d; case DistanceLt(`o`, CamRef, d) => d }
-        .minOption.getOrElse(Analyzer.DefaultVisibilityDistance)
-    }.maxOption.getOrElse(Analyzer.DefaultVisibilityDistance)
-    d => (types.isEmpty || types.contains(d.otype)) &&
-      math.hypot(d.estX - d.camX, d.estY - d.camY) < maxDist &&
+    val bounds  = Pred.cameraBounds(query.pred)
+    val maxDist = req.objRefs.map(bounds.getOrElse(_, Analyzer.DefaultVisibilityDistance))
+      .maxOption.getOrElse(Analyzer.DefaultVisibilityDistance)
+    (fr, d) => (types.isEmpty || types.contains(d.otype)) &&
+      math.hypot(d.estX - fr.camX, d.estY - fr.camY) < maxDist &&
       (geoTypes.isEmpty || geoTypes.exists(t => polysByType(t).exists(_.contains(d.estX, d.estY))))
   }
 }

@@ -43,8 +43,9 @@ case class StContains(first: Expression, second: Expression, third: Expression, 
       a: Expression, b: Expression, c: Expression, d: Expression): Expression = copy(a, b, c, d)
 }
 
-/** The exact-test half of a rewritten `st_contains`; never produced by the
-  * parser, which makes the prefilter rule idempotent.
+/** The exact-test half of a rewritten `st_contains`, also callable from
+  * SQL as `st_contains_exact`. The prefilter rule never matches it, which
+  * makes the rewrite idempotent.
   */
 case class StContainsExact(first: Expression, second: Expression, third: Expression, fourth: Expression)
     extends PolygonContains {

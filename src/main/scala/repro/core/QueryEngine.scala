@@ -72,8 +72,8 @@ object QueryEngine {
           roads: DataFrame, fps: Double): QueryResult = {
     SpatialFunctions.register(spark)
     val pred  = query.pred
-    val objRs = Pred.objRefs(pred)
-    val geoRs = Pred.geoRefs(pred)
+    val objRs = query.requirements.objRefs
+    val geoRs = query.requirements.geoRefs
     val cs    = Pred.conjuncts(pred)
 
     val tag = s"v${viewCounter.incrementAndGet()}"

@@ -18,10 +18,8 @@ object SystemsExperiment {
     * optimizations.
     */
   def eva(spark: SparkSession, ds: Dataset): Seq[EvaRow] = {
-    val evaSim  = new EvaSim
     val queries = Seq(Queries.q5, Queries.q6, Queries.q7, Queries.q8)
-    queries.map { q =>
-      val evaRun = evaSim.run(ds.frames, ds.gtStates, ds.net, q)
+    EvaSim.run(ds.frames, ds.gtStates, ds.net, queries).zip(queries).map { case (evaRun, q) =>
       val res = new SpatialyzeWorld(spark, ds.fps)
         .addGeogConstructs(ds.net).addVideo(ds.frames, ds.gtStates).filter(q.pred)
         .observe(PlanConfig.all, q.name)

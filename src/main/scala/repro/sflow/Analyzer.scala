@@ -72,10 +72,7 @@ object Analyzer {
     // RVP: a `contains(geo, ...)` conjunct makes geo's visibility a proxy
     // for the match (§6.1.1); the distance is the tightest camera-distance
     // bound over the contained objects, else the 50 m default.
-    val camDistByObj: Map[Term, Double] = cs.collect {
-      case DistanceLt(CamRef, t, d) => t -> d
-      case DistanceLt(t, CamRef, d) => t -> d
-    }.groupBy(_._1).map { case (t, ds) => t -> ds.map(_._2).min }
+    val camDistByObj = Pred.cameraBounds(pred)
     val rvpTargets = cs.collect { case Contains(g, terms) =>
       val d = terms.flatMap(camDistByObj.get) match {
         case Nil => DefaultVisibilityDistance

@@ -66,50 +66,34 @@ object Pred {
     case other   => Seq(other)
   }
 
-  /** All object references mentioned (in first-mention order). */
-  def objRefs(p: Pred): Seq[ObjRef] = {
-    val out = scala.collection.mutable.LinkedHashSet.empty[ObjRef]
-    def term(t: Term): Unit = t match { case o: ObjRef => out += o; case _ => }
-    def walk(q: Pred): Unit = q match {
-      case TypeIs(o, _)                  => out += o
-      case Contains(_, ts)               => ts.foreach(term)
-      case DistanceLt(a, b, _)           => term(a); term(b)
-      case HeadingDiffBetween(a, b, _, _) => term(a); term(b)
-      case TurnLeft(o)                   => out += o
-      case Stopped(o)                    => out += o
-      case And(ps)                       => ps.foreach(walk)
-      case Or(ps)                        => ps.foreach(walk)
-    }
-    walk(p)
-    out.toSeq
+  /** Every term mentioned, in mention order, repeats included; a
+    * `contains` mentions its construct before the contained terms.
+    */
+  def terms(p: Pred): Seq[Term] = p match {
+    case TypeIs(o, _)                   => Seq(o)
+    case Contains(g, ts)                => g +: ts
+    case DistanceLt(a, b, _)            => Seq(a, b)
+    case HeadingDiffBetween(a, b, _, _) => Seq(a, b)
+    case TurnLeft(o)                    => Seq(o)
+    case Stopped(o)                     => Seq(o)
+    case And(ps)                        => ps.flatMap(terms)
+    case Or(ps)                         => ps.flatMap(terms)
   }
+
+  /** All object references mentioned (in first-mention order). */
+  def objRefs(p: Pred): Seq[ObjRef] = terms(p).collect { case o: ObjRef => o }.distinct
 
   /** All geographic-construct references mentioned (first-mention order). */
-  def geoRefs(p: Pred): Seq[GeoRef] = {
-    val out = scala.collection.mutable.LinkedHashSet.empty[GeoRef]
-    def term(t: Term): Unit = t match { case g: GeoRef => out += g; case _ => }
-    def walk(q: Pred): Unit = q match {
-      case Contains(g, ts)                => out += g; ts.foreach(term)
-      case DistanceLt(a, b, _)            => term(a); term(b)
-      case HeadingDiffBetween(a, b, _, _) => term(a); term(b)
-      case And(ps)                        => ps.foreach(walk)
-      case Or(ps)                         => ps.foreach(walk)
-      case _                              =>
-    }
-    walk(p)
-    out.toSeq
-  }
+  def geoRefs(p: Pred): Seq[GeoRef] = terms(p).collect { case g: GeoRef => g }.distinct
 
-  def usesCamera(p: Pred): Boolean = {
-    def term(t: Term): Boolean = t == CamRef
-    def walk(q: Pred): Boolean = q match {
-      case Contains(_, ts)                => ts.exists(term)
-      case DistanceLt(a, b, _)            => term(a) || term(b)
-      case HeadingDiffBetween(a, b, _, _) => term(a) || term(b)
-      case And(ps)                        => ps.exists(walk)
-      case Or(ps)                         => ps.exists(walk)
-      case _                              => false
-    }
-    walk(p)
-  }
+  def usesCamera(p: Pred): Boolean = terms(p).contains(CamRef)
+
+  /** The tightest `distance(camera, t) < d` bound per term `t`, over the
+    * conjuncts of `p` (a bound under an `Or` bounds nothing).
+    */
+  def cameraBounds(p: Pred): Map[Term, Double] =
+    conjuncts(p).collect {
+      case DistanceLt(CamRef, t, d) => t -> d
+      case DistanceLt(t, CamRef, d) => t -> d
+    }.groupMapReduce(_._1)(_._2)(math.min)
 }

@@ -18,13 +18,9 @@ object Queries {
     * every object it mentions (unless a tighter bound already exists).
     */
   def withDefaultDistance(p: Pred): Pred = {
-    val cs      = conjuncts(p)
-    val bounded = cs.collect {
-      case DistanceLt(CamRef, o: ObjRef, _) => o
-      case DistanceLt(o: ObjRef, CamRef, _) => o
-    }.toSet
-    val extra = objRefs(p).filterNot(bounded).map(o => DistanceLt(CamRef, o, MaxDist))
-    And(cs ++ extra)
+    val bounded = cameraBounds(p)
+    val extra   = objRefs(p).filterNot(bounded.contains).map(o => DistanceLt(CamRef, o, MaxDist))
+    And(conjuncts(p) ++ extra)
   }
 
   private def q(name: String, desc: String, p: Pred): Query =

@@ -2,22 +2,17 @@ package repro.video
 
 import repro.geom._
 
-/** A detection with an estimated 3D (ground-plane) location.
-  * `method` records which estimator produced it: "ml" (Monodepth2 stand-in),
-  * "geom" (§6.3 ray–ground intersection) or "geom_fallback" (geometry
-  * failed — ray above horizon — and the ML path was used, §6.3.3).
+/** A detection with an estimated 3D (ground-plane) location: the fields
+  * the tracker, the Exit Frame Sampler and the scene pass read. The camera
+  * and the latent ground truth stay with the `DetRow` it was located from.
+  * `method` records which estimator produced it: "ml" (Monodepth2
+  * stand-in), "geom" (§6.3 ray–ground intersection) or "geom_fallback"
+  * (geometry failed — ray above horizon — and the ML path was used,
+  * §6.3.3).
   */
 final case class Det3dRow(sceneId: Long, frameIdx: Int, did: Long, oid: Long, otype: String,
                           x1: Double, y1: Double, x2: Double, y2: Double,
-                          zc: Double, gtX: Double, gtY: Double,
-                          camX: Double, camY: Double, camZ: Double,
-                          camYaw: Double, camPitch: Double,
-                          fx: Double, fy: Double, skew: Double, px0: Double, py0: Double,
-                          imgW: Int, imgH: Int,
-                          estX: Double, estY: Double, method: String) {
-  def pose: CamPose          = CamPose(camX, camY, camZ, camYaw, camPitch)
-  def intrinsics: Intrinsics = Intrinsics(fx, fy, skew, px0, py0, imgW, imgH)
-}
+                          estX: Double, estY: Double, method: String)
 
 /** 3D location estimators (paper §5.2.2 op (3) and §6.3). */
 object Estimators {
@@ -29,9 +24,7 @@ object Estimators {
   private val Seed = 211L
 
   private def withEst(d: DetRow, estX: Double, estY: Double, method: String): Det3dRow =
-    Det3dRow(d.sceneId, d.frameIdx, d.did, d.oid, d.otype, d.x1, d.y1, d.x2, d.y2,
-             d.zc, d.gtX, d.gtY, d.camX, d.camY, d.camZ, d.camYaw, d.camPitch,
-             d.fx, d.fy, d.skew, d.px0, d.py0, d.imgW, d.imgH, estX, estY, method)
+    Det3dRow(d.sceneId, d.frameIdx, d.did, d.oid, d.otype, d.x1, d.y1, d.x2, d.y2, estX, estY, method)
 
   /** Monodepth2 stand-in: true depth perturbed by deterministic noise,
     * placed along the pixel ray through the bbox bottom-center.

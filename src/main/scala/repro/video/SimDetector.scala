@@ -3,20 +3,19 @@ package repro.video
 import repro.geom._
 import repro.world.{FrameRow, GtStateRow}
 
-/** A 2D object detection with its camera context. `zc`, `gtX`, `gtY` and
-  * `oid` are latent ground truth carried for the depth simulator and the
+/** A 2D object detection of `frame`: the camera pose and intrinsics are
+  * the frame's, read through it, not copied. `zc`, `gtX`, `gtY` and `oid`
+  * are latent ground truth carried for the depth simulator and the
   * accuracy metrics — Spatialyze operators only consume the bbox, the
-  * type, and the camera metadata.
+  * type, and the frame's camera metadata.
   */
-final case class DetRow(sceneId: Long, frameIdx: Int, did: Long, oid: Long, otype: String,
+final case class DetRow(frame: FrameRow, did: Long, oid: Long, otype: String,
                         x1: Double, y1: Double, x2: Double, y2: Double,
-                        zc: Double, gtX: Double, gtY: Double,
-                        camX: Double, camY: Double, camZ: Double,
-                        camYaw: Double, camPitch: Double,
-                        fx: Double, fy: Double, skew: Double, px0: Double, py0: Double,
-                        imgW: Int, imgH: Int) {
-  def pose: CamPose          = CamPose(camX, camY, camZ, camYaw, camPitch)
-  def intrinsics: Intrinsics = Intrinsics(fx, fy, skew, px0, py0, imgW, imgH)
+                        zc: Double, gtX: Double, gtY: Double) {
+  def sceneId: Long          = frame.sceneId
+  def frameIdx: Int          = frame.frameIdx
+  def pose: CamPose          = frame.pose
+  def intrinsics: Intrinsics = frame.intrinsics
   def bottomCenterX: Double  = (x1 + x2) / 2.0
 }
 
@@ -59,10 +58,7 @@ object SimDetector {
         val wpx = fr.fx * halfW / zc
         val hpx = fr.fy * objH / zc
         val did = Rng.hashLong(s.sceneId, s.frameIdx.toLong, s.oid)
-        Some(DetRow(s.sceneId, s.frameIdx, did, s.oid, s.otype,
-                    xp - wpx, yp - hpx, xp + wpx, yp, zc, s.x, s.y,
-                    fr.camX, fr.camY, fr.camZ, fr.camYaw, fr.camPitch,
-                    fr.fx, fr.fy, fr.skew, fr.px0, fr.py0, fr.imgW, fr.imgH))
+        Some(DetRow(fr, did, s.oid, s.otype, xp - wpx, yp - hpx, xp + wpx, yp, zc, s.x, s.y))
       }
     }
   }

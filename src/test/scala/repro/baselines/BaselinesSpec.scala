@@ -2,9 +2,9 @@ package repro.baselines
 
 import repro.SparkSpec
 import repro.core.DataFrameDetector
-import repro.exp.Scenarios
+import repro.exp.{Scenarios, SystemsExperiment}
 import repro.sflow.{Analyzer, And, CamRef, DistanceLt, Pred, Queries, Query}
-import repro.video.{CostModel, Det3dRow}
+import repro.video.{CostModel, DetRow, Estimators}
 
 class BaselinesSpec extends SparkSpec {
 
@@ -26,55 +26,56 @@ class BaselinesSpec extends SparkSpec {
     */
   private def evaReference(q: Query): Long = {
     import spark.implicits._
-    DataFrameDetector.ml(spark, DataFrameDetector.detect(spark, nus.frames, nus.gtStates))
-      .as[Det3dRow].filter(EvaSim.keeps(nus.net, q))
+    val keep = EvaSim.keeps(nus.net, q)
+    DataFrameDetector.detect(spark, nus.frames, nus.gtStates).as[DetRow]
+      .filter(d => keep(d.frame, Estimators.mlOne(d)))
       .groupByKey(d => (d.sceneId, d.frameIdx)).count()
       .filter(_._2 >= q.requirements.objRefs.size)
       .count()
   }
 
+  private def eva(queries: Query*): Seq[EvaRun] = EvaSim.run(nus.frames, nus.gtStates, nus.net, queries)
+
   test("EVA: the first query pays the detector, later queries hit the materialized cache") {
-    val eva = new EvaSim
-    val r5  = eva.run(nus.frames, nus.gtStates, nus.net, Queries.q5)
-    val r6  = eva.run(nus.frames, nus.gtStates, nus.net, Queries.q6)
+    val Seq(r5, r6) = eva(Queries.q5, Queries.q6)
     assert(r5.modeledMs > r6.modeledMs, "cache must make the second query cheaper")
     val perFrameDelta = (r5.modeledMs - r6.modeledMs) / nus.frames.count()
     assert(math.abs(perFrameDelta - (CostModel.DecodeMs + CostModel.YoloMs - CostModel.EvaCacheReadMs)) < 1e-6)
   }
 
   test("EVA: still pays the depth model on every query (why Spatialyze wins Q5-Q7)") {
-    val eva = new EvaSim
-    val r6  = eva.run(nus.frames, nus.gtStates, nus.net, Queries.q6)
+    val Seq(r6) = eva(Queries.q6)
     assert(r6.modeledMs > CostModel.MonodepthMs * nus.frames.count())
   }
 
   test("EVA produces matching frames for the built-in scenarios") {
-    val eva = new EvaSim
-    val r5  = eva.run(nus.frames, nus.gtStates, nus.net, Queries.q5)
+    val Seq(r5) = eva(Queries.q5)
     assert(r5.resultFrames > 0, "pedestrians at intersections exist in the world")
   }
 
   test("EVA applies the query's camera-distance bound (Q7: a car within 10 m)") {
-    val eva  = new EvaSim
     assert(q7Wide.pred != Queries.q7.pred)
-    val near = eva.run(nus.frames, nus.gtStates, nus.net, Queries.q7).resultFrames
-    val far  = eva.run(nus.frames, nus.gtStates, nus.net, q7Wide).resultFrames
+    val Seq(near, far) = eva(Queries.q7, q7Wide).map(_.resultFrames)
     info(s"Q7 EVA frames: $near within 10 m, $far within 50 m")
     assert(near < far)
   }
 
   test("EVA's frames match the whole-DataFrame detector's (Q5-Q8, and Q7 within 50 m)") {
-    val eva = new EvaSim
-    (evaSeries :+ q7Wide).foreach { q =>
-      assert(eva.run(nus.frames, nus.gtStates, nus.net, q).resultFrames === evaReference(q), q.name)
+    val queries = evaSeries :+ q7Wide
+    eva(queries: _*).zip(queries).foreach { case (r, q) =>
+      assert(r.resultFrames === evaReference(q), q.name)
     }
   }
 
   test("EVA runs Q5-Q8 in series in at most 8 Spark jobs") {
-    val eva  = new EvaSim
-    val work = sparkJobs("eva-series")(evaSeries.foreach(eva.run(nus.frames, nus.gtStates, nus.net, _)))
+    val work = sparkJobs("eva-series")(eva(evaSeries: _*))
     info(s"EVA Q5-Q8 ran $work")
     assert(work.jobs <= 8 && work.tasks < 64, s"EVA Q5-Q8 ran $work")
+  }
+
+  test("an EVA series and its Spatialyze runs leave no cache behind") {
+    val ds = nus
+    assert(persistedBy(SystemsExperiment.eva(spark, ds)).isEmpty)
   }
 
   test("VIVA comparison: speedup on the static jackson camera is smaller than on nuScenes") {
@@ -114,7 +115,7 @@ class BaselinesSpec extends SparkSpec {
     val r    = OtifSim.run(nus.frames, nus.gtStates)
     val dets = DataFrameDetector.detect(spark, nus.frames, nus.gtStates)
     assert(r.frames === nus.frames.count())
-    assert(r.framesWithDets === dets.select("sceneId", "frameIdx").distinct().count())
+    assert(r.framesWithDets === dets.select("frame.sceneId", "frame.frameIdx").distinct().count())
     assert(r.detections === dets.count())
   }
 

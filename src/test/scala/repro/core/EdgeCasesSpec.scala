@@ -1,5 +1,7 @@
 package repro.core
 
+import java.nio.file.Files
+
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
 import repro.sflow._
@@ -92,12 +94,26 @@ class EdgeCasesSpec extends SparkSpec {
   }
 
   test("a scene with no objects runs end to end") {
+    // Empty by design: a video with no detections matches nothing, on the
+    // tracker path (Q1) and through the three-way self-join (Q8) alike.
     val empty = WorldParams.nuscenes(nScenes = 1).copy(nFrames = 1, nObjects = 1)
     val f = WorldGen.frames(spark, empty)
     val g = WorldGen.gtStates(spark, empty).filter("oid < 0") // no objects
-    val res = new SpatialyzeWorld(spark, empty.fps).addGeogConstructs(net)
-      .addVideo(f, g).filter(Queries.q5.pred).observe(PlanConfig.all, "edge5")
-    assert(res.rows.count() === 0L)
+    val dir = Files.createTempDirectory("edge5")
+    Seq((Queries.q5, PlanConfig.all), (Queries.q1, PlanConfig.baseline), (Queries.q1, PlanConfig.all),
+        (Queries.q8, PlanConfig.all)).foreach { case (q, config) =>
+      def world() = new SpatialyzeWorld(spark, empty.fps).addGeogConstructs(net).addVideo(f, g).filter(q.pred)
+      val clue = s"${q.name} $config"
+      val (objs, res) = world().getObjects(config)
+      assert(res.rows.count() === 0L, clue)
+      assert(res.stats.detections === 0L && res.stats.trackerDets === 0L, clue)
+      assert(res.stats.trackerRan === q.requirements.needsTracking, clue)
+      assert(objs.columns.toSet === Set("sceneId", "frameIdx", "oid", "otype", "x", "y"), clue)
+      assert(objs.count() === 0L, clue)
+      val path = dir.resolve(s"${q.name}.jsonl")
+      val (snips, _) = world().saveVideos(path.toString, config)
+      assert(snips.isEmpty && Files.size(path) === 0L, clue)
+    }
   }
 
   test("a world with no frames returns no rows and all-zero counts") {

@@ -35,8 +35,7 @@ class ExitFrameSamplerSpec extends SparkSpec {
                                   800, 800, 0, 800, 450, 1600, 900)).toVector
 
   private def carAt(frame: Int, x: Double, y: Double): Det3dRow =
-    Det3dRow(0L, frame, frame * 100L, 1L, "car", 700, 400, 760, 440, 20, x, y,
-             0, -1.75, 1.5, 0.0, 0.0, 800, 800, 0, 800, 450, 1600, 900, x, y, "geom")
+    Det3dRow(0L, frame, frame * 100L, 1L, "car", 700, 400, 760, 440, x, y, "geom")
 
   test("empty scene samples nothing") {
     assert(ExitFrameSampler.sampleScene(Vector.empty, Map.empty, lanes, inters, 12.0) === Vector.empty)

@@ -11,10 +11,7 @@ class SortTrackerSpec extends SparkSpec {
 
   private def det(frame: Int, oid: Long, x1: Double, y1: Double, w: Double = 40, h: Double = 30): Det3dRow =
     Det3dRow(0L, frame, did = frame * 1000L + oid, oid = oid, otype = "car",
-             x1 = x1, y1 = y1, x2 = x1 + w, y2 = y1 + h, zc = 20, gtX = 0, gtY = 0,
-             camX = 0, camY = 0, camZ = 1.5, camYaw = 0, camPitch = 0,
-             fx = 800, fy = 800, skew = 0, px0 = 800, py0 = 450, imgW = 1600, imgH = 900,
-             estX = 0, estY = 0, method = "geom")
+             x1 = x1, y1 = y1, x2 = x1 + w, y2 = y1 + h, estX = 0, estY = 0, method = "geom")
 
   private val tracker = SortTracker
 

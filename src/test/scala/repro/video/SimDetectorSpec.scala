@@ -38,8 +38,8 @@ class SimDetectorSpec extends SparkSpec {
     dets.as[DetRow].collect().foreach { d =>
       assert(d.x1 < d.x2 && d.y1 < d.y2, s"degenerate bbox $d")
       val cx = (d.x1 + d.x2) / 2
-      assert(cx >= -2 && cx <= d.imgW + 2, s"bbox center x $cx out of image")
-      assert(d.y2 >= 0 && d.y2 <= d.imgH + 2, s"bbox bottom ${d.y2} out of image")
+      assert(cx >= -2 && cx <= d.frame.imgW + 2, s"bbox center x $cx out of image")
+      assert(d.y2 >= 0 && d.y2 <= d.frame.imgH + 2, s"bbox bottom ${d.y2} out of image")
     }
   }
 
@@ -84,14 +84,13 @@ class SimDetectorSpec extends SparkSpec {
     assert(near > 0.9)
   }
 
-  test("detector output carries the frame's camera metadata verbatim") {
+  test("each detection references its frame") {
     import spark.implicits._
     val f = frames.as[FrameRow].collect()
       .map(fr => (fr.sceneId, fr.frameIdx) -> fr).toMap
     dets.as[DetRow].take(100).foreach { d =>
-      val fr = f((d.sceneId, d.frameIdx))
-      assert(d.camX === fr.camX && d.camY === fr.camY && d.camYaw === fr.camYaw)
-      assert(d.fx === fr.fx && d.imgW === fr.imgW)
+      assert(d.frame === f((d.sceneId, d.frameIdx)))
+      assert(d.pose === d.frame.pose && d.intrinsics === d.frame.intrinsics)
     }
   }
 
