@@ -2,6 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.DataFrame
 import repro.core.VideoProcessor
+import repro.geom.Vec2
 import repro.sflow.{Analyzer, Pred, Query}
 import repro.video.{CostModel, Det3dRow, Estimators, SimDetector}
 import repro.world.{FrameRow, RoadNetwork}
@@ -57,12 +58,13 @@ object EvaSim {
     val polysByType = geoTypes.map(t => t -> net.ofType(t).map(_.polygon).toArray).toMap
     // A detection may stand for any object reference, so it must lie within
     // the loosest of their camera-distance bounds (Q7: the car's 10 m). An
-    // object without a bound gets the 50 m default.
+    // object without a bound gets the 50 m default. The distance is the
+    // engine's: `Vec2.dist`, the square root of the summed squares.
     val bounds  = Pred.cameraBounds(query.pred)
     val maxDist = req.objRefs.map(bounds.getOrElse(_, Analyzer.DefaultVisibilityDistance))
       .maxOption.getOrElse(Analyzer.DefaultVisibilityDistance)
     (fr, d) => (types.isEmpty || types.contains(d.otype)) &&
-      math.hypot(d.estX - fr.camX, d.estY - fr.camY) < maxDist &&
+      Vec2(fr.camX, fr.camY).dist(Vec2(d.estX, d.estY)) < maxDist &&
       (geoTypes.isEmpty || geoTypes.exists(t => polysByType(t).exists(_.contains(d.estX, d.estY))))
   }
 }

@@ -120,11 +120,15 @@ object QueryEngine {
           val (tx, ty) = xy(t)
           s"st_contains(${alias(g)}.xs, ${alias(g)}.ys, $tx, $ty)"
         }.mkString(" AND ")
+      // Distance and heading compile to Spark's own arithmetic, bit for bit
+      // `Vec2.dist` and `Heading.diff` (whose `canon` is Spark's `pmod`). A
+      // null heading makes the comparison null, so it never matches.
       case DistanceLt(a, b, d) =>
         val (ax, ay) = xy(a); val (bx, by) = xy(b)
-        s"st_distance($ax, $ay, $bx, $by) < $d"
+        s"sqrt(($ax - $bx) * ($ax - $bx) + ($ay - $by) * ($ay - $by)) < $d"
       case HeadingDiffBetween(a, b, lo, hi) =>
-        s"heading_diff(${headingCol(a)}, ${headingCol(b)}) BETWEEN $lo AND $hi"
+        val d = s"abs(pmod(${headingCol(a)}, 360D) - pmod(${headingCol(b)}, 360D))"
+        s"CASE WHEN $d > 180D THEN 360D - $d ELSE $d END BETWEEN $lo AND $hi"
       case TurnLeft(o) => s"${alias(o)}.turnleft"
       case Stopped(o)  => s"${alias(o)}.stopped"
       case And(ps)     => ps.map(q => s"(${compile(q)})").mkString(" AND ")

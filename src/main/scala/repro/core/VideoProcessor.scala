@@ -5,6 +5,7 @@ import scala.reflect.ClassTag
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions.{col, isnan, when}
+import repro.geom.Heading
 import repro.sflow.Query
 import repro.track.{SortTracker, TrackedRow}
 import repro.video.{Estimators, RunStats, SimDetector}
@@ -175,12 +176,6 @@ object VideoProcessor {
       trackerPairOps = perFrame.zip(perFrame.drop(1)).map { case (a, b) => a * b }.sum))
   }
 
-  /** Spark's `pmod` on doubles. */
-  private def pmod(a: Double, n: Double): Double = {
-    val r = a % n
-    if (r < 0) (r + n) % n else r
-  }
-
   /** Attach the query engine's facts to one scene's rows, keeping their
     * order. Over each track in frame order: the heading (degrees CCW from
     * +x) of the displacement from `HeadingLag` samples back, if at least
@@ -206,11 +201,11 @@ object VideoProcessor {
           val dx = r.estX - p.estX
           val dy = r.estY - p.estY
           if (math.sqrt(StrictMath.pow(dx, 2) + StrictMath.pow(dy, 2)) >= MinHeadingDistM)
-            heading(t(j)) = pmod(math.toDegrees(math.atan2(dy + 0.0, dx + 0.0)), 360.0)
+            heading(t(j)) = Heading.canon(math.toDegrees(math.atan2(dy + 0.0, dx + 0.0)))
         }
         val h = heading(t(j))
         if (!h.isNaN && !prev.isNaN) {
-          val step = pmod(h - prev + 540.0, 360.0) - 180.0
+          val step = Heading.canon(h - prev + 540.0) - 180.0
           if (math.abs(step) < 60.0) netTurn += step
         }
         prev = h

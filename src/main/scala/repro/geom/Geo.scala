@@ -28,9 +28,13 @@ final case class Vec3(x: Double, y: Double, z: Double) {
 
 /** Heading arithmetic. Headings are degrees CCW from +x, canonical in [0, 360). */
 object Heading {
+  /** Spark's `pmod(deg, 360)`, so the scene pass and the engine's SQL
+    * normalise alike. The second `%` maps an `m + 360` that rounds up to
+    * 360 (for `m` just below 0) to 0.
+    */
   def canon(deg: Double): Double = {
     val m = deg % 360.0
-    if (m < 0) m + 360.0 else m
+    if (m < 0) (m + 360.0) % 360.0 else m
   }
 
   /** Absolute angular difference in [0, 180]. */

@@ -39,7 +39,25 @@ object Analyzer {
     */
   val DefaultVisibilityDistance = 50.0
 
+  /** Rejects a construct where a point is needed, and a `contains` with
+    * no term: a construct is a polygon, with no position to measure.
+    */
+  private def requirePoints(p: Pred): Unit = {
+    val points = p match {
+      case And(ps)             => ps.foreach(requirePoints); Nil
+      case Or(ps)              => ps.foreach(requirePoints); Nil
+      case Contains(g, ts)     =>
+        require(ts.nonEmpty, s"contains on construct '${g.name}' (${g.geoType}) names no term"); ts
+      case DistanceLt(a, b, _) => Seq(a, b)
+      case _                   => Nil
+    }
+    points.collect { case g: GeoRef => g }.foreach { g =>
+      throw new IllegalArgumentException(s"construct '${g.name}' (${g.geoType}) is used as a point in $p")
+    }
+  }
+
   def analyze(pred: Pred): PlanRequirements = {
+    requirePoints(pred)
     val cs      = Pred.conjuncts(pred)
     val objs    = Pred.objRefs(pred)
     val geos    = Pred.geoRefs(pred)

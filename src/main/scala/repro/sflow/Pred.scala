@@ -86,8 +86,6 @@ object Pred {
   /** All geographic-construct references mentioned (first-mention order). */
   def geoRefs(p: Pred): Seq[GeoRef] = terms(p).collect { case g: GeoRef => g }.distinct
 
-  def usesCamera(p: Pred): Boolean = terms(p).contains(CamRef)
-
   /** The tightest `distance(camera, t) < d` bound per term `t`, over the
     * conjuncts of `p` (a bound under an `Or` bounds nothing).
     */

@@ -4,7 +4,7 @@ import org.apache.spark.sql.Row
 import org.apache.spark.sql.types._
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
-import repro.geom.{Heading, Polygon, Rng}
+import repro.geom.{Polygon, Rng}
 
 class SpatialExpressionsSpec extends SparkSpec {
 
@@ -61,29 +61,6 @@ class SpatialExpressionsSpec extends SparkSpec {
     assert(diff === 0L)
   }
 
-  test("st_distance computes Euclidean distance") {
-    SpatialFunctions.register(spark)
-    val d = spark.sql("SELECT st_distance(0.0D, 0.0D, 3.0D, 4.0D) AS d").collect()(0).getDouble(0)
-    assert(d === 5.0)
-  }
-
-  test("heading_diff matches geom.Heading on a sweep") {
-    SpatialFunctions.register(spark)
-    import spark.implicits._
-    val pairs = (0 until 200).map(i => (Rng.hashIn(-720, 720, i, 7), Rng.hashIn(-720, 720, i, 8)))
-    val df = pairs.toDF("a", "b")
-    df.createOrReplaceTempView("headings")
-    spark.sql("SELECT a, b, heading_diff(a, b) AS d FROM headings").collect().foreach { r =>
-      assert(math.abs(r.getDouble(2) - Heading.diff(r.getDouble(0), r.getDouble(1))) < 1e-9)
-    }
-  }
-
-  test("heading_diff propagates nulls (no heading -> no match)") {
-    SpatialFunctions.register(spark)
-    val r = spark.sql("SELECT heading_diff(CAST(NULL AS DOUBLE), 10.0D) AS d").collect()(0)
-    assert(r.isNullAt(0))
-  }
-
   test("st_contains propagates nulls") {
     SpatialFunctions.register(spark)
     val r = spark.sql(
@@ -131,7 +108,7 @@ class SpatialExpressionsSpec extends SparkSpec {
     import repro.sflow.Queries
     import repro.world.{RoadNetwork, WorldParams}
     val reg   = spark.sessionState.functionRegistry
-    val names = Seq("st_contains", "st_contains_exact", "st_distance", "heading_diff")
+    val names = Seq("st_contains", "st_contains_exact")
     // Builder and expression info together: re-registering replaces both.
     def registered = names.map { n =>
       val id = FunctionIdentifier(n)

@@ -31,20 +31,15 @@ class EdgeCasesSpec extends SparkSpec {
     assert(qr.rows.count() === 0L)
   }
 
-  test("observe() rejects an unknown construct type, naming it and the known ones, before any Spark job") {
-    val car = ObjRef("car")
-    val typo = world().filter(Pred.and(TypeIs(car, Set("car")),
-                                       Contains(GeoRef("l", "lanee"), Seq(car))))
+  /** Runs `body` in job group `group` and asserts that it started no
+    * Spark job. Job-start events reach the status tracker asynchronously
+    * but in order: once a later marker job shows, any job of `group`
+    * would too.
+    */
+  private def withoutSparkJob[T](group: String)(body: => T): T = {
     val sc = spark.sparkContext
-    val group = "edge-unknown-construct"
     sc.setJobGroup(group, group)
-    val e = try intercept[IllegalArgumentException](typo.observe(PlanConfig.all, "edge-typo"))
-            finally sc.clearJobGroup()
-    assert(e.getMessage.contains("'lanee'"), e.getMessage)
-    Seq("bikeLane", "intersection", "lane", "lanegroup", "roadsection")
-      .foreach(t => assert(e.getMessage.contains(s"'$t'"), e.getMessage))
-    // Job-start events reach the status tracker asynchronously but in
-    // order: once a later marker job shows, any job of `group` would too.
+    val out = try body finally sc.clearJobGroup()
     val marker = s"$group-marker"
     sc.setJobGroup(marker, marker)
     try sc.parallelize(Seq(1), 1).count() finally sc.clearJobGroup()
@@ -53,6 +48,31 @@ class EdgeCasesSpec extends SparkSpec {
       Thread.sleep(20)
     assert(sc.statusTracker.getJobIdsForGroup(marker).nonEmpty)
     assert(sc.statusTracker.getJobIdsForGroup(group).isEmpty, "the check ran a Spark job")
+    out
+  }
+
+  test("observe() rejects an unknown construct type, naming it and the known ones, before any Spark job") {
+    val car = ObjRef("car")
+    val typo = world().filter(Pred.and(TypeIs(car, Set("car")),
+                                       Contains(GeoRef("l", "lanee"), Seq(car))))
+    val e = withoutSparkJob("edge-unknown-construct")(
+      intercept[IllegalArgumentException](typo.observe(PlanConfig.all, "edge-typo")))
+    assert(e.getMessage.contains("'lanee'"), e.getMessage)
+    Seq("bikeLane", "intersection", "lane", "lanegroup", "roadsection")
+      .foreach(t => assert(e.getMessage.contains(s"'$t'"), e.getMessage))
+  }
+
+  test("observe() rejects a construct used as a point, naming it, before any Spark job") {
+    // A construct has no x or y column to measure from, and a `contains`
+    // must name what it contains.
+    val car = ObjRef("car"); val i = GeoRef("i", "intersection")
+    Seq(DistanceLt(i, car, 10.0), DistanceLt(CamRef, i, 10.0),
+        Contains(GeoRef("l", "lane"), Seq(car, i)), Contains(i, Nil)).zipWithIndex.foreach { case (atom, n) =>
+      val w = world().filter(Pred.and(TypeIs(car, Set("car")), DistanceLt(CamRef, car, 50.0), atom))
+      val e = withoutSparkJob(s"edge-construct-point-$n")(
+        intercept[IllegalArgumentException](w.observe(PlanConfig.all, s"edge-point-$n")))
+      assert(e.getMessage.contains("'i' (intersection)"), s"$atom: ${e.getMessage}")
+    }
   }
 
   test("a query on an object type that never appears returns nothing but runs") {

@@ -1,6 +1,8 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.catalyst.analysis.FunctionRegistry
+import org.apache.spark.sql.catalyst.expressions.codegen.CodegenFallback
 import org.apache.spark.sql.execution.{SparkPlan, UnionExec}
 import org.apache.spark.sql.execution.adaptive.{AdaptiveSparkPlanExec, QueryStageExec}
 import org.apache.spark.sql.execution.exchange.ReusedExchangeExec
@@ -10,6 +12,8 @@ import org.apache.spark.sql.execution.window.WindowExec
 import org.apache.spark.sql.functions._
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{Oracle, SparkSpec}
+import repro.catalyst.StContainsExact
+import repro.geom.{Heading, Rng, Vec2}
 import repro.sflow._
 import repro.track.TrackedRow
 import repro.world.{GridParams, RoadNetwork}
@@ -84,12 +88,29 @@ class QueryEngineSpec extends SparkSpec {
       s"""SELECT o.sceneId, o.frameIdx, o.oid, o.otype,
                  CAST(MAX(CASE WHEN r.rtype = '$rtype'
                                AND st_contains(r.xs, r.ys, o.x, o.y) THEN 1 ELSE 0 END) AS STRING) AS inside,
-                 CAST(MAX(CASE WHEN st_distance(o.x, o.y, c.x, c.y) < 50.0 THEN 1 ELSE 0 END) AS STRING) AS near
+                 CAST(MAX(CASE WHEN sqrt((o.x - c.x) * (o.x - c.x) + (o.y - c.y) * (o.y - c.y)) < 50.0
+                               THEN 1 ELSE 0 END) AS STRING) AS near
           FROM oracle_objs o
           JOIN oracle_cams c ON c.sceneId = o.sceneId AND c.frameIdx = o.frameIdx
           CROSS JOIN oracle_roads r
           GROUP BY o.sceneId, o.frameIdx, o.oid, o.otype""")
   }
+
+  /** Frame i of scene 0 holds car i at (x, y) with `heading`, seen from
+    * camera pose i: the engine's `objs` and `cams`, built directly.
+    */
+  private def perFrame(cars: Seq[(Double, Double, Option[Double])],
+                       poses: Seq[(Double, Double, Double)]): (DataFrame, DataFrame) = {
+    import spark.implicits._
+    val o = cars.zipWithIndex.map { case ((x, y, h), f) => (0L, f, f.toLong, "car", x, y, h, false, false, 1) }
+      .toDF("sceneId", "frameIdx", "oid", "otype", "x", "y", "heading", "turnleft", "stopped", "nFrame")
+    val c = poses.zipWithIndex.map { case ((x, y, h), f) => (0L, f, x, y, h) }
+      .toDF("sceneId", "frameIdx", "x", "y", "heading")
+    (o, c)
+  }
+
+  private def frames(res: QueryResult): Set[Int] =
+    res.rows.select("frameIdx").collect().map(_.getInt(0)).toSet
 
   /** Every operator of the plan that computes `df`, looking through
     * adaptive query stages but never into cached inputs (the hand-made
@@ -365,8 +386,80 @@ class QueryEngineSpec extends SparkSpec {
                         DistanceLt(CamRef, person, 50.0))
     val res = QueryEngine.run(spark, q("tq9", pred), objs, cams, roadsDf, fps)
     assert(res.sql.contains("st_contains("))
-    assert(res.sql.contains("st_distance("))
+    assert(res.sql.contains("sqrt((cam.x - p.x) * (cam.x - p.x) + (cam.y - p.y) * (cam.y - p.y)) < 50.0"))
     assert(res.sql.contains("cam.sceneId = p.sceneId") || res.sql.contains("cam.sceneId"))
+  }
+
+  test("the engine's SQL runs no custom expression but the exact containment test") {
+    for (query <- Queries.all) {
+      val plan   = QueryEngine.run(spark, query, objs, cams, roadsDf, fps).rows.queryExecution.optimizedPlan
+      val custom = plan.flatMap(_.expressions.flatMap(_.collect { case e: CodegenFallback => e }))
+      assert(custom.forall(_.isInstanceOf[StContainsExact]),
+             s"${query.name}: ${custom.map(_.prettyName).distinct}")
+    }
+    // Spark's own `st_*` functions (st_srid, st_asbinary, ...) are not ours.
+    val spatial = spark.sessionState.functionRegistry.listFunction()
+      .filterNot(FunctionRegistry.builtin.functionExists).map(_.funcName)
+      .filter(n => n.startsWith("st_") || n == "heading_diff").toSet
+    assert(spatial === Set("st_contains", "st_contains_exact"))
+  }
+
+  test("a distance bound is Euclidean: 3-4-5 and a sweep") {
+    val c = ObjRef("c")
+    def matched(o: DataFrame, cs: DataFrame, p: Pred): Set[Int] =
+      frames(QueryEngine.run(spark, q("tq-dist", Pred.and(TypeIs(c, Set("car")), p)), o, cs, roadsDf, fps))
+    val (o345, c345) = perFrame(Seq((3.0, 4.0, None)), Seq((0.0, 0.0, 0.0)))
+    assert(Vec2(0, 0).dist(Vec2(3, 4)) === 5.0)
+    assert(matched(o345, c345, DistanceLt(CamRef, c, 5.0)).isEmpty, "5 < 5")
+    assert(matched(o345, c345, DistanceLt(c, CamRef, 5.0)).isEmpty, "5 < 5")
+    assert(matched(o345, c345, DistanceLt(CamRef, c, 5.001)) === Set(0))
+    assert(matched(o345, c345, DistanceLt(c, CamRef, 5.001)) === Set(0))
+
+    val cars  = (0 until 200).map(i => (Rng.hashIn(-60, 60, i, 1), Rng.hashIn(-60, 60, i, 2), None))
+    val poses = (0 until 200).map(i => (Rng.hashIn(-10, 10, i, 3), Rng.hashIn(-10, 10, i, 4), 0.0))
+    val (o, cs) = perFrame(cars, poses)
+    val expected = cars.indices.filter { i =>
+      Vec2(poses(i)._1, poses(i)._2).dist(Vec2(cars(i)._1, cars(i)._2)) < 50.0
+    }.toSet
+    assert(expected.nonEmpty && expected.size < cars.size)
+    assert(matched(o, cs, DistanceLt(CamRef, c, 50.0)) === expected)
+  }
+
+  test("heading bands match Heading.diff exactly, edges too") {
+    val edges  = Seq(0.0, 30.0, 60.0, 120.0, 150.0, 180.0)
+    val random = (0 until 200).map(i => (Rng.hashIn(-720, 720, i, 7), Rng.hashIn(-720, 720, i, 8)))
+    // Each band edge reached over whole turns, from bases whose sums round,
+    // and one ulp either side of it.
+    val onEdges   = for (e <- edges; k <- -2 to 1; b <- Seq(0.0, 0.1, 275.3)) yield (b + e + 360.0 * k, b)
+    val nearEdges = edges.flatMap(e => Seq((math.nextUp(e), 0.0), (math.nextDown(e), 0.0), (-e, 1e-13), (-1e-15, e)))
+    val pairs = random ++ onEdges ++ nearEdges
+    edges.foreach(e => assert(pairs.exists { case (a, b) => Heading.diff(a, b) == e }, s"no pair at $e"))
+    val (o, cs) = perFrame(pairs.map { case (a, _) => (0.0, 0.0, Some(a)) }, pairs.map { case (_, b) => (0.0, 0.0, b) })
+    val c = ObjRef("c")
+    for (band <- Seq(Pred.sameDirection _, Pred.perpendicular _, Pred.opposite _);
+         (a, b) <- Seq[(Term, Term)]((c, CamRef), (CamRef, c))) {
+      val atom @ HeadingDiffBetween(_, _, lo, hi) = band(a, b)
+      val got = frames(QueryEngine.run(spark, q("tq-heading", Pred.and(TypeIs(c, Set("car")), atom)),
+                                       o, cs, roadsDf, fps))
+      val expected = pairs.indices.filter { i =>
+        val d = Heading.diff(pairs(i)._1, pairs(i)._2)
+        d >= lo && d <= hi
+      }.toSet
+      val wrong = ((got diff expected) ++ (expected diff got)).map(i => (pairs(i), Heading.diff(pairs(i)._1, pairs(i)._2)))
+      assert(got === expected, s"$atom: $wrong")
+    }
+  }
+
+  test("a null heading never matches a heading predicate") {
+    // The parked car (oid 4) has no heading; every other object has one.
+    val o1 = ObjRef("o1"); val o2 = ObjRef("o2")
+    def oids(p: Pred): Set[Long] = {
+      val rows = QueryEngine.run(spark, q("tq-null", p), objs, cams, roadsDf, fps).rows
+      rows.columns.filter(_.endsWith("_oid")).flatMap(n => rows.select(n).collect().map(_.getLong(0))).toSet
+    }
+    assert(oids(HeadingDiffBetween(o1, CamRef, 0.0, 180.0)) === Set(1L, 2L, 3L, 5L))
+    assert(oids(HeadingDiffBetween(CamRef, o1, 0.0, 180.0)) === Set(1L, 2L, 3L, 5L))
+    assert(oids(HeadingDiffBetween(o1, o2, 0.0, 180.0)) === Set(1L, 2L, 3L, 5L))
   }
 
   test("engine results are deterministic") {

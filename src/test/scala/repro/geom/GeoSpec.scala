@@ -53,6 +53,10 @@ class GeoSpec extends AnyFunSuite with PropHelpers {
       val c = Heading.canon(d)
       assert(c >= 0.0 && c < 360.0)
     }
+    // Just below 0, `d + 360` rounds to 360: canon must fold it to 0.
+    Seq(-1e-15, -1e-14, math.nextDown(0.0)).foreach { d =>
+      assert(Heading.canon(d) === 0.0, s"canon($d)")
+    }
   }
 
   test("heading diff is symmetric and in [0, 180]") {

@@ -10,6 +10,8 @@ class AnalyzerSpec extends AnyFunSuite {
   private val lane   = GeoRef("l", "lane")
   private val inter  = GeoRef("i", "intersection")
 
+  private def usesCamera(p: Pred): Boolean = terms(p).contains(CamRef)
+
   test("conjuncts flattens nested Ands") {
     val p = And(Seq(TypeIs(car, Set("car")), And(Seq(Stopped(car), TurnLeft(car)))))
     assert(conjuncts(p).size === 3)
