@@ -8,7 +8,7 @@ import repro.exp.{SkipDistanceExperiment, Tables}
 class Table5SkipDistanceBench extends BenchBase {
 
   test("Table 5: F1 and runtime ratio per skip distance") {
-    val rows = SkipDistanceExperiment.run(spark, nuscenes)
+    val rows = SkipDistanceExperiment.run(nuscenes)
     Tables.skipDistance.emit(rows)
 
     assert(rows.nonEmpty)

@@ -48,22 +48,15 @@ object Table2Systems {
   }
 }
 
-/** Table 3 (§7.2.1 / Fig. 5b): per-optimization runtime ablation. */
-object Table3AblationRuntime {
+/** Tables 3 (§7.2.1 / Fig. 5b) and 4 (§7.2.2 / Fig. 5c): per-optimization
+  * runtime ablation and tracking accuracy (AssA), from one ablation run.
+  */
+object Table3And4Ablation {
   def main(args: Array[String]): Unit = {
-    val spark = JobSession.spark("table3-ablation-runtime")
-    val ds    = Scenarios.nuscenes(spark, JobSession.scenes(args, 24))
-    Tables.ablationRuntime.emit(AblationExperiment.run(spark, ds))
-    spark.stop()
-  }
-}
-
-/** Table 4 (§7.2.2 / Fig. 5c): per-optimization tracking accuracy (AssA). */
-object Table4AblationAccuracy {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.spark("table4-ablation-accuracy")
-    val ds    = Scenarios.nuscenes(spark, JobSession.scenes(args, 24))
-    Tables.ablationAccuracy.emit(AblationExperiment.run(spark, ds))
+    val spark = JobSession.spark("table3-4-ablation")
+    val rows  = AblationExperiment.run(spark, Scenarios.nuscenes(spark, JobSession.scenes(args, 24)))
+    Tables.ablationRuntime.emit(rows)
+    Tables.ablationAccuracy.emit(rows)
     spark.stop()
   }
 }
@@ -73,7 +66,7 @@ object Table5SkipDistance {
   def main(args: Array[String]): Unit = {
     val spark = JobSession.spark("table5-skip-distance")
     val ds    = Scenarios.nuscenes(spark, JobSession.scenes(args, 24))
-    Tables.skipDistance.emit(SkipDistanceExperiment.run(spark, ds))
+    Tables.skipDistance.emit(SkipDistanceExperiment.run(ds))
     spark.stop()
   }
 }

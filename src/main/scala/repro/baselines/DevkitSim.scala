@@ -28,17 +28,18 @@ final case class DevkitRun(query: String, devkitMs: Double, spatialyzeMs: Double
 object DevkitSim {
 
   /** `objs` as `VideoProcessor.run` emits it: its `nFrame` column gives the
-    * per-frame tuple counts.
+    * per-frame tuple counts. Both candidate counts scale the same
+    * Σ_f n_f^k, taken in one Spark job.
     */
-  def compare(query: Query, objs: DataFrame,
-              roadCountsByType: Map[String, Long], spatialyzeRows: Long): DevkitRun = {
-    val k = math.max(1, query.requirements.objRefs.size)
+  def compare(query: Query, objs: DataFrame, roadCountsByType: Map[String, Long]): DevkitRun = {
     val geoFactor = query.requirements.geoRefs
       .map(g => roadCountsByType.getOrElse(g.geoType, 1L).toDouble)
       .product
 
-    val devkitRows = QueryEngine.sumNk(objs, k) * geoFactor
-    val oom        = devkitRows > CostModel.DevkitOomRows
+    val tuples         = QueryEngine.sumNk(objs, query)
+    val devkitRows     = tuples * geoFactor
+    val spatialyzeRows = QueryEngine.rowsExamined(query, tuples)
+    val oom            = devkitRows > CostModel.DevkitOomRows
     DevkitRun(query.name,
               devkitMs = devkitRows * CostModel.PyPerRowMs,
               spatialyzeMs = spatialyzeRows * CostModel.SqlPerRowMs,

@@ -49,13 +49,22 @@ object QueryEngine {
                   col("camYaw").as("heading"))
 
   /** Σ_f n_f^k over the frames of `objs`, the frame-aligned k-tuples of
-    * objects. It equals the sum over samples of n_f^(k−1), read from the
-    * `nFrame` column: one global aggregate, no shuffle by frame.
+    * the query's k object references (at least 1). It equals the sum over
+    * samples of n_f^(k−1), read from the `nFrame` column: one global
+    * aggregate, no shuffle by frame.
     */
-  def sumNk(objs: DataFrame, k: Int): Double = {
+  def sumNk(objs: DataFrame, query: Query): Double = {
+    val k = math.max(1, query.requirements.objRefs.size)
     val r = objs.agg(sum(pow(col("nFrame"), lit((k - 1).toDouble)))).collect()(0)
     if (r.isNullAt(0)) 0.0 else r.getDouble(0)
   }
+
+  /** Modelled candidate-row count of `query`: its frame-aligned object
+    * `tuples` (`sumNk`) times the bbox-prefiltered construct candidates
+    * (~4 per construct ref).
+    */
+  def rowsExamined(query: Query, tuples: Double): Long =
+    (tuples * math.pow(4.0, query.requirements.geoRefs.size)).toLong
 
   private def sqlLit(s: String): String = "'" + s.replace("'", "''") + "'"
 
@@ -147,13 +156,9 @@ object QueryEngine {
     // can coalesce its shuffle stages.
     val rows = spark.sql(sql)
 
-    // Modelled candidate-row count: frame-aligned object tuples times the
-    // bbox-prefiltered construct candidates (~4 per construct ref).
-    val rowsExamined = (sumNk(objs, math.max(1, objRs.size)) * math.pow(4.0, geoRs.size)).toLong
-
     // Drop the names only (`spark.catalog.dropTempView` would also
     // uncache a caller's cached `cams` or `roads`).
     views.foreach { case (name, _) => spark.sessionState.catalog.dropTempView(name) }
-    QueryResult(rows, rowsExamined, sql)
+    QueryResult(rows, rowsExamined(query, sumNk(objs, query)), sql)
   }
 }

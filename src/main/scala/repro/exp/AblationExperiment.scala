@@ -3,7 +3,7 @@ package repro.exp
 import org.apache.spark.sql.SparkSession
 import repro.core.{PlanConfig, VideoProcessor}
 import repro.sflow.{Queries, Query}
-import repro.track.Metrics
+import repro.track.{Metrics, TrackedRow}
 import repro.video.CostModel
 
 /** One (query, setup) ablation measurement (§7.2). Runtimes are modelled
@@ -11,13 +11,14 @@ import repro.video.CostModel
   */
 final case class AblationRow(query: String, setup: String,
                              videoMsPerVideo: Double, speedup: Double,
-                             prunedFrames: Double, prunedDets: Double,
-                             trackerFrameShare: Double, assA: Double)
+                             prunedFrames: Double, prunedDets: Double, assA: Double)
 
 /** The §7.2 ablation: plans SB (baseline), S1 (RVP), S2 (OTP), S3 (GE),
   * S4 (EFS), S5 (RVP+OTP+GE), S6 (all) over Q1–Q4. AssA of each setup is
   * computed against SB's tracks, excluding detections on RVP-pruned
   * frames (they reflect the user's predicate, not tracking damage).
+  * The scoring runs on the driver, over tracks and kept frames collected
+  * once per setup.
   */
 object AblationExperiment {
 
@@ -35,13 +36,14 @@ object AblationExperiment {
 
   def run(spark: SparkSession, ds: Dataset,
           queries: Seq[Query] = DefaultQueries): Seq[AblationRow] = {
+    import spark.implicits._
     queries.flatMap { q =>
       val results = Setups.map { case (name, cfg) =>
         (name, VideoProcessor.run(spark, ds.frames, ds.gtStates, ds.net, q, cfg, ds.fps))
       }
-      val sbRes   = results.find(_._1 == "SB").get._2
-      val sbMs    = CostModel.videoMs(sbRes.stats)
-      val sbTracks = sbRes.tracked
+      val sbRes    = results.find(_._1 == "SB").get._2
+      val sbMs     = CostModel.videoMs(sbRes.stats)
+      val sbTracks = sbRes.tracked.map(_.as[TrackedRow].collect().toSeq)
 
       results.map { case (name, res) =>
         val ms = CostModel.videoMs(res.stats)
@@ -49,20 +51,15 @@ object AblationExperiment {
           case (Some(gt), Some(pr)) if name != "SB" =>
             // Evaluation universe: SB tracks on frames this setup kept
             // after RVP (§7.2.2's exclusion).
-            val gtUniverse = gt.join(res.keptFrames, Seq("sceneId", "frameIdx"))
-            Metrics.assA(spark, gtUniverse, pr)
+            val kept = res.keptFrames.as[(Long, Int)].collect().toSet
+            Metrics.assA(gt.filter(r => kept((r.sceneId, r.frameIdx))), pr.as[TrackedRow].collect().toSeq)
           case _ => 1.0
         }
-        val trackerShare =
-          if (res.stats.trackerRan && res.stats.framesAfterRvp > 0)
-            res.stats.trackerFrames.toDouble / res.stats.framesAfterRvp
-          else 0.0
         AblationRow(q.name, name,
                     videoMsPerVideo = ms / ds.nVideos,
                     speedup = sbMs / ms,
                     prunedFrames = res.stats.prunedFrameFraction,
                     prunedDets = res.stats.prunedDetFraction,
-                    trackerFrameShare = trackerShare,
                     assA = assa)
       }
     }

@@ -5,8 +5,7 @@ import repro.world.{RoadNetwork, WorldGen, WorldParams}
 
 /** A fully materialized evaluation dataset. */
 final case class Dataset(name: String, params: WorldParams,
-                         frames: DataFrame, gtStates: DataFrame,
-                         net: RoadNetwork, roadsDf: DataFrame) {
+                         frames: DataFrame, gtStates: DataFrame, net: RoadNetwork) {
   def fps: Double    = params.fps
   def nVideos: Long  = params.nScenes.toLong
   def roadCountsByType: Map[String, Long] =
@@ -23,8 +22,7 @@ object Scenarios {
     val frames = WorldGen.frames(spark, p).persist()
     val gt     = WorldGen.gtStates(spark, p).persist()
     frames.count(); gt.count()
-    val net = WorldGen.roadNetwork(p)
-    Dataset(name, p, frames, gt, net, net.toDF(spark))
+    Dataset(name, p, frames, gt, WorldGen.roadNetwork(p))
   }
 
   def nuscenes(spark: SparkSession, nScenes: Int, seed: Long = 7): Dataset =

@@ -1,6 +1,5 @@
 package repro.exp
 
-import org.apache.spark.sql.SparkSession
 import repro.core.{ExitFrameSampler, VideoProcessor}
 import repro.track.{Metrics, SortTracker, TrackedRow}
 import repro.video.{CostModel, Estimators, SimDetector}
@@ -25,7 +24,7 @@ object SkipDistanceExperiment {
   /** The skip cap of the study, above the sampler's default of 13. */
   val MaxSkip = 20
 
-  def run(spark: SparkSession, ds: Dataset): Seq[SkipRow] = {
+  def run(ds: Dataset): Seq[SkipRow] = {
     val lanes  = ds.net.segments.filter(_.heading.isDefined).toArray
     val inters = ds.net.ofType("intersection").toArray
     val fps    = ds.fps

@@ -2,7 +2,7 @@ package repro.exp
 
 import org.apache.spark.sql.SparkSession
 import repro.baselines._
-import repro.core.{PlanConfig, QueryEngine, SpatialyzeWorld, VideoProcessor}
+import repro.core.{PlanConfig, SpatialyzeWorld, VideoProcessor}
 import repro.sflow.Queries
 import repro.video.CostModel
 
@@ -27,16 +27,11 @@ object SystemsExperiment {
     }
   }
 
-  final case class VivaRow(dataset: String, vivaS: Double, spatialyzeS: Double) {
-    def speedup: Double = vivaS / spatialyzeS
-  }
-
   /** VIVA comparison on Q9 over both datasets (§7.1.2). */
-  def viva(spark: SparkSession, jackson: Dataset, nuscenes: Dataset): Seq[VivaRow] =
+  def viva(spark: SparkSession, jackson: Dataset, nuscenes: Dataset): Seq[VivaRun] =
     Seq(jackson, nuscenes).map { ds =>
-      val r = VivaSim.compare(spark, if (ds.params.flavour == "jackson") "jackson" else "nuscenes",
-                              ds.frames, ds.gtStates, ds.net, Queries.q9, ds.fps)
-      VivaRow(r.dataset, r.vivaMs / 1000.0, r.spatialyzeMs / 1000.0)
+      VivaSim.compare(spark, if (ds.params.flavour == "jackson") "jackson" else "nuscenes",
+                      ds.frames, ds.gtStates, ds.net, Queries.q9, ds.fps)
     }
 
   /** nuScenes devkit comparison (§7.1.3): Movable-Objects Query Engine
@@ -47,11 +42,7 @@ object SystemsExperiment {
     // Both engines query the same processed Movable Objects (SB plan).
     val proc = VideoProcessor.run(spark, ds.frames, ds.gtStates, ds.net,
                                   Queries.q2, PlanConfig.baseline, ds.fps)
-    val cams = QueryEngine.cams(ds.frames)
-    queries.map { q =>
-      val qr = QueryEngine.run(spark, q, proc.objs, cams, ds.roadsDf, ds.fps)
-      DevkitSim.compare(q, proc.objs, ds.roadCountsByType, qr.rowsExamined)
-    }
+    queries.map(q => DevkitSim.compare(q, proc.objs, ds.roadCountsByType))
   }
 
   final case class OtifRow(otifFps: Double, otifTrainMin: Double,

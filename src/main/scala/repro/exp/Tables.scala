@@ -3,8 +3,8 @@ package repro.exp
 import java.nio.charset.StandardCharsets
 import java.nio.file.{Files, Paths}
 
-import repro.baselines.{DevkitRun, SkyRun}
-import repro.exp.SystemsExperiment.{EvaRow, OtifRow, VivaRow}
+import repro.baselines.{DevkitRun, SkyRun, VivaRun}
+import repro.exp.SystemsExperiment.{EvaRow, OtifRow}
 
 /** The evaluation tables: one `Table` per file under bench/results/, which
   * both its bench suite and its job render through. Titles, headers and
@@ -56,10 +56,10 @@ object Tables {
     Seq("query", "EVA s", "Spatialyze s", "speedup x"))(_.map(r =>
       Seq(r.query, fmt(r.evaS), fmt(r.spatialyzeS), fmt(r.speedup))))
 
-  val viva = new Table[VivaRow]("table2_viva.md",
+  val viva = new Table[VivaRun]("table2_viva.md",
     "VIVA vs Spatialyze on Q9 (paper: 1.68x on Jackson, 6x on nuScenes)",
     Seq("dataset", "VIVA s", "Spatialyze s", "speedup x"))(_.map(r =>
-      Seq(r.dataset, fmt(r.vivaS), fmt(r.spatialyzeS), fmt(r.speedup))))
+      Seq(r.dataset, fmt(r.vivaMs / 1000.0), fmt(r.spatialyzeMs / 1000.0), fmt(r.speedup))))
 
   val devkit = new Table[DevkitRun]("table2_devkit.md",
     "nuScenes devkit vs Query Engine (paper: 117-716x, Q4 OOM)",

@@ -1,8 +1,5 @@
 package repro.track
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-
 /** Tracking-accuracy metrics (paper §7.2.2 uses HOTA's Association
   * Accuracy, AssA).
   *
@@ -16,33 +13,27 @@ object Metrics {
 
   /** HOTA Association Accuracy of `pred` tracks against `gt` tracks.
     *
-    * For every matched detection c with gt track g and predicted track p:
+    * A detection is matched by (sceneId, did). For every matched
+    * detection c with gt track g and predicted track p:
     * A(c) = |TPA| / (|TPA| + |FNA| + |FPA|) where TPA = matched detections
     * with the same (g, p), FNA = remaining detections of g, FPA = remaining
-    * detections of p. AssA = mean of A(c) over matched detections.
+    * detections of p. AssA = mean of A(c) over matched detections, and 0
+    * when none matches.
     *
-    * Both inputs are TrackedRow-shaped DataFrames. The caller restricts
-    * `gt` to the evaluation universe (e.g. excluding RVP-pruned frames,
-    * as §7.2.2 does).
+    * The caller restricts `gt` to the evaluation universe (e.g. excluding
+    * RVP-pruned frames, as §7.2.2 does).
     */
-  def assA(spark: SparkSession, gt: DataFrame, pred: DataFrame): Double = {
-    val g = gt.select(col("sceneId"), col("did"), col("trackId").as("gtTrack"))
-    val p = pred.select(col("sceneId"), col("did"), col("trackId").as("prTrack"))
-
-    val matched = g.join(p, Seq("sceneId", "did"))
-
-    val tpa = matched.groupBy("sceneId", "gtTrack", "prTrack").agg(count("*").as("tpa"))
-    val gtN = g.groupBy("sceneId", "gtTrack").agg(count("*").as("gtN"))
-    val prN = p.groupBy("sceneId", "prTrack").agg(count("*").as("prN"))
-
-    val perDet = matched
-      .join(tpa, Seq("sceneId", "gtTrack", "prTrack"))
-      .join(gtN, Seq("sceneId", "gtTrack"))
-      .join(prN, Seq("sceneId", "prTrack"))
-      .withColumn("a", col("tpa") / (col("gtN") + col("prN") - col("tpa")))
-
-    val row = perDet.agg(avg("a").as("assa")).collect()(0)
-    if (row.isNullAt(0)) 0.0 else row.getDouble(0)
+  def assA(gt: Seq[TrackedRow], pred: Seq[TrackedRow]): Double = {
+    def trackSizes(rows: Seq[TrackedRow]) = rows.groupMapReduce(r => (r.sceneId, r.trackId))(_ => 1L)(_ + _)
+    val gtN      = trackSizes(gt)
+    val prN      = trackSizes(pred)
+    val prTracks = pred.groupMap(r => (r.sceneId, r.did))(_.trackId)
+    // TPA of each (scene, gt track, predicted track); all its detections share A(c).
+    val tpa = gt.flatMap(r => prTracks.getOrElse((r.sceneId, r.did), Nil).map((r.sceneId, r.trackId, _)))
+      .groupMapReduce(identity)(_ => 1L)(_ + _)
+    val matched = tpa.values.sum
+    if (matched == 0) 0.0
+    else tpa.map { case ((s, g, p), n) => n * (n.toDouble / (gtN((s, g)) + prN((s, p)) - n)) }.sum / matched
   }
 
   /** Precision/recall-style association F1 across a frame gap (§6.4.3's

@@ -100,12 +100,11 @@ object CostModel {
     * be priced with a comparator system's ML functions (VIVA's low-res
     * YOLO + DeepSORT, SkyQuery's YOLOv3 + SORT, ...).
     */
-  def videoMs(s: RunStats,
-              decode: Double = DecodeMs, detect: Double = YoloMs,
+  def videoMs(s: RunStats, detect: Double = YoloMs,
               depth: Double = MonodepthMs, geomDet: Double = GeomPerDetMs,
               trackFrame: Double = TrackerFrameMs, trackDet: Double = TrackerDetMs,
               trackPair: Double = TrackerPairMs): Double = {
-    var ms = decode * s.framesTotal
+    var ms = DecodeMs * s.framesTotal
     if (s.rvpApplied) ms += RvpPerFrameMs * s.framesTotal
     ms += detect * s.framesAfterRvp
     if (s.otpApplied) ms += OtpPerDetMs * s.detections

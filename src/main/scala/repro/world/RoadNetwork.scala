@@ -20,8 +20,6 @@ final case class RoadNetwork(segments: Vector[RoadSegment], params: GridParams) 
 
   def ofType(t: String): Vector[RoadSegment] = segments.filter(_.rtype == t)
 
-  def lanes: Vector[RoadSegment] = ofType("lane")
-
   /** The lane (or bike lane) containing a ground point, if any. */
   def laneAt(p: Vec2): Option[RoadSegment] =
     segments.find(s => (s.rtype == "lane" || s.rtype == "bikeLane") && s.polygon.contains(p))

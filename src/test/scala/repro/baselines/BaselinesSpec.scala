@@ -89,9 +89,7 @@ class BaselinesSpec extends SparkSpec {
   test("devkit comparison: three-digit speedups from index-free cross products (paper 117-716x)") {
     val proc = repro.core.VideoProcessor.run(spark, nus.frames, nus.gtStates, nus.net,
                                              Queries.q2, repro.core.PlanConfig.baseline, nus.fps)
-    val cams = nus.frames.selectExpr("sceneId", "frameIdx", "camX as x", "camY as y", "camYaw as heading")
-    val qr = repro.core.QueryEngine.run(spark, Queries.q2, proc.objs, cams, nus.roadsDf, nus.fps)
-    val r  = DevkitSim.compare(Queries.q2, proc.objs, nus.roadCountsByType, qr.rowsExamined)
+    val r = DevkitSim.compare(Queries.q2, proc.objs, nus.roadCountsByType)
     info(f"Q2 devkit speedup ${r.speedup}%.0f x")
     assert(!r.oom)
     assert(r.speedup > 50 && r.speedup < 2000, s"speedup ${r.speedup} outside plausible band")
@@ -100,7 +98,7 @@ class BaselinesSpec extends SparkSpec {
   test("devkit comparison: Q4's triple self-join exceeds memory (the paper's OOM)") {
     val proc = repro.core.VideoProcessor.run(spark, nus.frames, nus.gtStates, nus.net,
                                              Queries.q2, repro.core.PlanConfig.baseline, nus.fps)
-    val r = DevkitSim.compare(Queries.q4, proc.objs, nus.roadCountsByType, 1000L)
+    val r = DevkitSim.compare(Queries.q4, proc.objs, nus.roadCountsByType)
     assert(r.oom, s"Q4 devkit rows ${r.devkitRows} should exceed ${CostModel.DevkitOomRows}")
   }
 

@@ -70,8 +70,17 @@ class ExperimentsSpec extends SparkSpec {
     assert(added.isEmpty, s"persisted RDDs $added")
   }
 
+  test("the ablation over Q1 runs in at most 20 Spark jobs") {
+    ds.frames.count(); ds.gtStates.count()
+    // Seven scene passes, SB's tracks, and each other setup's tracks and
+    // kept frames: the AssA scoring runs on the driver.
+    val work = sparkJobs("ablation-Q1")(AblationExperiment.run(spark, ds, queries = Seq(Queries.q1)))
+    info(s"the ablation over Q1 ran $work")
+    assert(work.jobs <= 20, s"${work.jobs} Spark jobs")
+  }
+
   test("skip-distance study produces buckets with decreasing runtime ratio") {
-    val rows = SkipDistanceExperiment.run(spark, ds)
+    val rows = SkipDistanceExperiment.run(ds)
     assert(rows.nonEmpty)
     info(rows.map(r => f"skip=${r.skip} gaps=${r.gaps} f1=${r.f1}%.2f ratio=${r.runtimeRatio}%.2f").mkString("; "))
     val smallSkip = rows.filter(_.skip <= 1).map(_.runtimeRatio)
@@ -84,7 +93,7 @@ class ExperimentsSpec extends SparkSpec {
   }
 
   test("skip-distance F1 stays high for small skips") {
-    val rows = SkipDistanceExperiment.run(spark, ds)
+    val rows = SkipDistanceExperiment.run(ds)
     val small = rows.filter(r => r.skip >= 1 && r.skip <= 4 && r.gaps >= 5)
     small.foreach { r =>
       assert(r.f1 > 0.6, s"skip ${r.skip} F1 ${r.f1} too low (${r.gaps} gaps)")

@@ -10,6 +10,7 @@ class RoadNetworkSpec extends SparkSpec {
 
   private val params = GridParams()
   private val net    = RoadNetwork.grid(params)
+  private val lanes  = net.ofType("lane")
 
   test("grid contains every construct type") {
     val types = net.segments.map(_.rtype).toSet
@@ -23,7 +24,7 @@ class RoadNetworkSpec extends SparkSpec {
   test("lane count: two per block per road") {
     val horizontal = params.ny * (params.nx - 1) * 2
     val vertical   = params.nx * (params.ny - 1) * 2
-    assert(net.lanes.size === horizontal + vertical)
+    assert(lanes.size === horizontal + vertical)
   }
 
   test("bike lanes only on every bikeLaneEvery-th horizontal road") {
@@ -32,12 +33,12 @@ class RoadNetworkSpec extends SparkSpec {
   }
 
   test("all lanes carry a heading; intersections do not") {
-    assert(net.lanes.forall(_.heading.isDefined))
+    assert(lanes.forall(_.heading.isDefined))
     assert(net.ofType("intersection").forall(_.heading.isEmpty))
   }
 
   test("lane headings are cardinal") {
-    assert(net.lanes.flatMap(_.heading).toSet === Set(0.0, 90.0, 180.0, 270.0))
+    assert(lanes.flatMap(_.heading).toSet === Set(0.0, 90.0, 180.0, 270.0))
   }
 
   test("rids are unique") {
@@ -45,7 +46,7 @@ class RoadNetworkSpec extends SparkSpec {
   }
 
   test("eastbound lane is below the road centerline (right-hand traffic)") {
-    val east = net.lanes.filter(_.heading.contains(0.0))
+    val east = lanes.filter(_.heading.contains(0.0))
     assert(east.nonEmpty)
     east.foreach { l =>
       val cy = centroid(l.polygon).y
@@ -69,7 +70,7 @@ class RoadNetworkSpec extends SparkSpec {
 
   test("lanes do not overlap intersections") {
     val inters = net.ofType("intersection")
-    net.lanes.foreach { l =>
+    lanes.foreach { l =>
       val c = centroid(l.polygon)
       assert(inters.forall(!_.polygon.contains(c)), s"lane ${l.rid} centroid inside an intersection")
     }
