@@ -16,8 +16,15 @@ object JobSession {
     s
   }
 
+  /** The scene count in the first argument, `default` without one. A
+    * count that is not a positive integer would build an empty world.
+    */
   def scenes(args: Array[String], default: Int): Int =
-    args.headOption.map(_.toInt).getOrElse(default)
+    args.headOption.fold(default) { a =>
+      val n = a.toIntOption.filter(_ > 0)
+      require(n.isDefined, s"scene count '$a' must be a positive integer")
+      n.get
+    }
 }
 
 /** Table 1: run every Q1–Q10 workflow end-to-end and report match counts. */

@@ -27,7 +27,7 @@ object EvaSim {
   def run(frames: DataFrame, gtStates: DataFrame, net: RoadNetwork, queries: Seq[Query]): Seq[EvaRun] = {
     // The materialized detector output: one vector of detections per frame.
     val dets = VideoProcessor.byScene(frames, gtStates) { (_, fs, states) =>
-      fs.map(fr => states.getOrElse(fr.frameIdx, Vector.empty).flatMap(SimDetector.detectOne(fr, _)))
+      fs.map(fr => SimDetector.detectFrame(fr, states.getOrElse(fr.frameIdx, Nil)))
     }.flatMap(identity).persist()
     try queries.zipWithIndex.map { case (query, i) =>
       // Frame-by-frame evaluation: each frame's count of kept detections, in

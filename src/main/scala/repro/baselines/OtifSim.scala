@@ -25,7 +25,7 @@ object OtifSim {
 
   def run(frames: DataFrame, gtStates: DataFrame): OtifRun = {
     val perFrame = VideoProcessor.byScene(frames, gtStates) { (_, fs, states) =>
-      fs.map(fr => states.getOrElse(fr.frameIdx, Nil).count(SimDetector.detectOne(fr, _).isDefined))
+      fs.map(fr => SimDetector.detectFrame(fr, states.getOrElse(fr.frameIdx, Nil)).size)
     }.collect().flatten
     val nFrames        = perFrame.length.toLong
     val framesWithDets = perFrame.count(_ > 0).toLong

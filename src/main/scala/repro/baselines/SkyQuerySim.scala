@@ -31,13 +31,11 @@ object SkyQuerySim {
 
   def compare(spark: SparkSession, frames: DataFrame, gtStates: DataFrame,
               net: RoadNetwork, query: Query, fps: Double): SkyRun = {
-    // SkyQuery: the full pipeline on every frame.
-    val skyStats = VideoProcessor.run(spark, frames, gtStates, net, query,
-                                      PlanConfig.baseline, fps).stats
-    // Spatialyze with SkyQuery's ML functions: only RVP applies (§7.1.5).
-    val spatStats = VideoProcessor.run(spark, frames, gtStates, net, query,
-                                       PlanConfig(rvp = true, otp = false, geom3d = false, efs = false),
-                                       fps).stats
+    // SkyQuery: the full pipeline on every frame. Spatialyze with
+    // SkyQuery's ML functions: only RVP applies (§7.1.5).
+    val Seq(skyStats, spatStats) = VideoProcessor.runAll(spark, frames, gtStates, net,
+      Seq(query -> PlanConfig.baseline,
+          query -> PlanConfig(rvp = true, otp = false, geom3d = false, efs = false)), fps).map(_.stats)
 
     val skyMs  = priced(skyStats)
     val spatMs = priced(spatStats)

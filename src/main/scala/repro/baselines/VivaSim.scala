@@ -31,18 +31,16 @@ object VivaSim {
     val fixedCamera = dataset == "jackson"
 
     // VIVA: unoptimized plan, every object tracked, depth if camera moves.
-    val vivaStats = VideoProcessor.run(spark, frames, gtStates, net, query,
-                                       PlanConfig.baseline, fps).stats
+    // Spatialyze: same ML prices + RVP/OTP/GE (EFS is inapplicable for
+    // car+pedestrian workflows, per the §6.4 rule). One pass runs both.
+    val Seq(vivaStats, spatStats) = VideoProcessor.runAll(spark, frames, gtStates, net,
+      Seq(query -> PlanConfig.baseline, query -> PlanConfig.all), fps).map(_.stats)
     val vivaMs = CostModel.videoMs(vivaStats,
       detect = CostModel.YoloLowResMs,
       depth = if (fixedCamera) 0.0 else CostModel.MonodepthMs,
       trackFrame = CostModel.DeepSortFrameMs, trackDet = CostModel.DeepSortDetMs,
       trackPair = 0.0) + CostModel.VivaPlanOverheadMs
 
-    // Spatialyze, same ML prices + RVP/OTP/GE (EFS is inapplicable for
-    // car+pedestrian workflows, per the §6.4 rule).
-    val spatStats = VideoProcessor.run(spark, frames, gtStates, net, query,
-                                       PlanConfig.all, fps).stats
     val spatMs = CostModel.videoMs(spatStats,
       detect = CostModel.YoloLowResMs,
       trackFrame = CostModel.DeepSortFrameMs, trackDet = CostModel.DeepSortDetMs,

@@ -29,14 +29,32 @@ final case class ObjSample(sceneId: Long, frameIdx: Int, trackId: Long, did: Lon
                            otype: String, estX: Double, estY: Double,
                            heading: Double, turnleft: Boolean, stopped: Boolean, nFrame: Int)
 
-/** Output of the video processor: the Movable-Objects samples ready for
-  * the query engine, plus execution statistics and the surviving frames
-  * (needed by the output composer and the accuracy evaluation).
+/** Output of the video processor for one plan: the scene pass's
+  * samples, the (sceneId, frameIdx) pairs RVP kept and the plan's unit
+  * counts, all on the driver. `objs` (the samples as the query engine
+  * reads them) and `keptFrames` (for the output composer) are
+  * DataFrames built on first read; `tracks` are the samples' tracker
+  * columns, defined when the tracker ran.
   */
-final case class ProcessResult(objs: DataFrame,
-                               tracked: Option[DataFrame],
-                               keptFrames: DataFrame,
-                               stats: RunStats)
+final case class ProcessResult(samples: Vector[ObjSample], kept: Vector[(Long, Int)],
+                               stats: RunStats)(spark: SparkSession) {
+  import spark.implicits._
+  private def sc = spark.sparkContext
+
+  // Parallelized, so the engine plans over an RDD scan; as a local
+  // relation (`Seq.toDF`) Q8's three-way self-join ran slower.
+  lazy val objs: DataFrame =
+    sc.parallelize(samples, sc.defaultParallelism).toDF().select(
+      col("sceneId"), col("frameIdx"), col("trackId").as("oid"), col("otype"),
+      col("estX").as("x"), col("estY").as("y"),
+      when(!isnan(col("heading")), col("heading")).as("heading"),
+      col("turnleft"), col("stopped"), col("nFrame"))
+
+  lazy val keptFrames: DataFrame = sc.parallelize(kept, sc.defaultParallelism).toDF("sceneId", "frameIdx")
+
+  lazy val tracks: Option[Vector[TrackedRow]] = Option.when(stats.trackerRan)(
+    samples.map(s => TrackedRow(s.sceneId, s.frameIdx, s.trackId, s.did, s.oid, s.otype, s.estX, s.estY)))
+}
 
 /** The Video Processor stage (§5.2.2): the streaming-operator plan
   * Decode → [RVP] → Detect → [OTP] → 3D-Estimate → [EFS] → Track, keeping
@@ -44,13 +62,15 @@ final case class ProcessResult(objs: DataFrame,
   * queries never run the tracker), and counting every operator's units
   * for the cost model.
   *
-  * Every scene is independent, so the plan runs as one pass per scene:
+  * Every scene is independent, so a plan runs as one pass per scene:
   * frames and latent states are cogrouped by scene once, and one task
   * streams each scene's frames in order through the operators. The same
   * task derives, per track in frame order, the facts the query engine
   * reads (headings, turn-left and stopped flags, samples per frame).
-  * The scene rows come back to the driver in the run's one Spark job, and
-  * the outputs are parallelized from them: a run caches nothing.
+  * Plans that an experiment compares share the pass: each scene task
+  * runs every plan over the scene. The scene rows come back to the
+  * driver in the pass's one Spark job and stay there; a pass caches
+  * nothing.
   */
 object VideoProcessor {
 
@@ -63,15 +83,14 @@ object VideoProcessor {
   val StoppedMaxDispM   = 3.0
   val StoppedMinSamples = 8
 
-  /** One scene's share of a run: the frames RVP kept, the output samples
-    * and the scene's unit counts. The samples are the tracker's output
-    * when it ran; otherwise each detection stands alone, with its `did`
-    * as `trackId`.
+  /** One scene's share of a plan's output: the (sceneId, frameIdx) pairs
+    * RVP kept, the output samples and the scene's unit counts. The
+    * samples are the tracker's output when it ran; otherwise each
+    * detection stands alone, with its `did` as `trackId`.
     */
-  private final case class SceneOut(sceneId: Long, keptFrames: Vector[Int], samples: Vector[ObjSample],
-                                    stats: RunStats)
+  private final case class SceneOut(kept: Vector[(Long, Int)], samples: Vector[ObjSample], stats: RunStats)
 
-  /** The plan's operators, resolved once per run and shipped to the
+  /** A plan's operators, resolved once per pass and shipped to the
     * scene tasks.
     */
   private final case class ScenePlan(rvpTargets: Option[Seq[(Array[RoadSegment], Double)]],
@@ -79,41 +98,39 @@ object VideoProcessor {
                                      efs: Option[(Array[RoadSegment], Array[RoadSegment], Double)],
                                      flags: RunStats)
 
+  /** Run one plan: `runAll` with that plan alone. */
   def run(spark: SparkSession, frames: DataFrame, gtStates: DataFrame, net: RoadNetwork,
-          query: Query, config: PlanConfig, fps: Double): ProcessResult = {
-    import spark.implicits._
-    val req = query.requirements
+          query: Query, config: PlanConfig, fps: Double): ProcessResult =
+    runAll(spark, frames, gtStates, net, Seq(query -> config), fps).head
 
-    val rvpApplied  = config.rvp && req.rvpTargets.nonEmpty
-    val otpApplied  = config.otp && req.typesOfInterest.isDefined
-    val geomApplied = config.geom3d && req.geomApplicable
-    val efsApplied  = config.efs && req.efsApplicable
+  /** Run every plan over the same scene pass, and split the output by
+    * plan, in the order of `plans`.
+    */
+  def runAll(spark: SparkSession, frames: DataFrame, gtStates: DataFrame, net: RoadNetwork,
+             plans: Seq[(Query, PlanConfig)], fps: Double): Seq[ProcessResult] = {
+    val scenePlans = plans.map { case (q, c) => scenePlan(net, q, c, fps) }
+    val scenes = byScene(frames, gtStates)((_, fs, states) =>
+      scenePlans.map(processScene(fs, states, _))).collect().toVector
+    scenePlans.indices.map { i =>
+      val outs = scenes.map(_(i))
+      ProcessResult(outs.flatMap(_.samples), outs.flatMap(_.kept),
+                    outs.map(_.stats).foldLeft(scenePlans(i).flags)(_ + _))(spark)
+    }
+  }
+
+  /** Resolve the operators `config` enables for `query` over `net`. */
+  private def scenePlan(net: RoadNetwork, query: Query, config: PlanConfig, fps: Double): ScenePlan = {
+    val req   = query.requirements
     val flags = RunStats(0, 0, 0, 0, 0, 0, 0, 0, 0, trackerRan = req.needsTracking,
-                         rvpApplied = rvpApplied, otpApplied = otpApplied,
-                         geomApplied = geomApplied, efsApplied = efsApplied)
-    val plan = ScenePlan(
-      rvpTargets = Option.when(rvpApplied)(
+      rvpApplied = config.rvp && req.rvpTargets.nonEmpty, otpApplied = config.otp && req.typesOfInterest.isDefined,
+      geomApplied = config.geom3d && req.geomApplicable, efsApplied = config.efs && req.efsApplicable)
+    ScenePlan(
+      rvpTargets = Option.when(flags.rvpApplied)(
         req.rvpTargets.map { case (t, d) => (net.ofType(t).toArray, d) }),
-      types = req.typesOfInterest.filter(_ => otpApplied),
-      efs = Option.when(efsApplied)(
+      types = req.typesOfInterest.filter(_ => flags.otpApplied),
+      efs = Option.when(flags.efsApplied)(
         (net.segments.filter(_.heading.isDefined).toArray, net.ofType("intersection").toArray, fps)),
       flags = flags)
-
-    val scenes = byScene(frames, gtStates)(processScene(_, _, _, plan)).collect().toVector
-    val stats  = scenes.map(_.stats).foldLeft(flags)(_ + _)
-
-    // Parallelized, so the engine plans over an RDD scan; as a local
-    // relation (`Seq.toDF`) Q8's three-way self-join ran slower.
-    val sc      = spark.sparkContext
-    val samples = sc.parallelize(scenes.flatMap(_.samples), sc.defaultParallelism).toDF()
-    val objs = samples.select(col("sceneId"), col("frameIdx"), col("trackId").as("oid"),
-                              col("otype"), col("estX").as("x"), col("estY").as("y"),
-                              when(!isnan(col("heading")), col("heading")).as("heading"),
-                              col("turnleft"), col("stopped"), col("nFrame"))
-    val tracked = samples.select("sceneId", "frameIdx", "trackId", "did", "oid", "otype", "estX", "estY")
-    val kept       = scenes.flatMap(s => s.keptFrames.map(f => (s.sceneId, f)))
-    val keptFrames = sc.parallelize(kept, sc.defaultParallelism).toDF("sceneId", "frameIdx")
-    ProcessResult(objs, Option.when(req.needsTracking)(tracked), keptFrames, stats)
   }
 
   /** Cogroup frames and latent states by scene, and make one row per scene
@@ -136,12 +153,12 @@ object VideoProcessor {
   }
 
   /** Run the plan over one scene's frames and latent states. */
-  private def processScene(sceneId: Long, frames: Vector[FrameRow],
-                           states: Map[Int, Vector[GtStateRow]], plan: ScenePlan): SceneOut = {
+  private def processScene(frames: Vector[FrameRow], states: Map[Int, Vector[GtStateRow]],
+                           plan: ScenePlan): SceneOut = {
     // Road Visibility Pruner — placed right after the decoder (§6.1).
     val kept = plan.rvpTargets.fold(frames)(t => frames.filter(RoadVisibilityPruner.keep(_, t)))
     // Object detector.
-    val dets = kept.flatMap(fr => states.getOrElse(fr.frameIdx, Nil).flatMap(SimDetector.detectOne(fr, _)))
+    val dets = kept.flatMap(fr => SimDetector.detectFrame(fr, states.getOrElse(fr.frameIdx, Nil)))
     // Object Type Pruner — right after the detector (§6.2): the Hungarian
     // association cost scales with the number of objects per frame.
     val typed = plan.types.fold(dets)(ts => dets.filter(d => ts.contains(d.otype)))
@@ -167,7 +184,7 @@ object VideoProcessor {
         (dets3d.map(d => TrackedRow(d.sceneId, d.frameIdx, d.did, d.did, d.oid, d.otype, d.estX, d.estY)),
          Vector.empty)
 
-    SceneOut(sceneId, kept.map(_.frameIdx), withFacts(rows), plan.flags.copy(
+    SceneOut(kept.map(f => (f.sceneId, f.frameIdx)), withFacts(rows), plan.flags.copy(
       framesTotal = frames.size, framesAfterRvp = kept.size,
       detections = dets.size, detsAfterOtp = typed.size,
       depthFrames = depthDets.map(_.frameIdx).distinct.size,

@@ -3,7 +3,7 @@ package repro.exp
 import org.apache.spark.sql.SparkSession
 import repro.core.{PlanConfig, VideoProcessor}
 import repro.sflow.{Queries, Query}
-import repro.track.{Metrics, TrackedRow}
+import repro.track.Metrics
 import repro.video.CostModel
 
 /** One (query, setup) ablation measurement (§7.2). Runtimes are modelled
@@ -17,8 +17,8 @@ final case class AblationRow(query: String, setup: String,
   * S4 (EFS), S5 (RVP+OTP+GE), S6 (all) over Q1–Q4. AssA of each setup is
   * computed against SB's tracks, excluding detections on RVP-pruned
   * frames (they reflect the user's predicate, not tracking damage).
-  * The scoring runs on the driver, over tracks and kept frames collected
-  * once per setup.
+  * Each query's seven setups share one scene pass, and the scoring runs
+  * on the driver, over the tracks and kept frames the pass left there.
   */
 object AblationExperiment {
 
@@ -35,24 +35,21 @@ object AblationExperiment {
   val DefaultQueries: Seq[Query] = Seq(Queries.q1, Queries.q2, Queries.q3, Queries.q4)
 
   def run(spark: SparkSession, ds: Dataset,
-          queries: Seq[Query] = DefaultQueries): Seq[AblationRow] = {
-    import spark.implicits._
+          queries: Seq[Query] = DefaultQueries): Seq[AblationRow] =
     queries.flatMap { q =>
-      val results = Setups.map { case (name, cfg) =>
-        (name, VideoProcessor.run(spark, ds.frames, ds.gtStates, ds.net, q, cfg, ds.fps))
-      }
-      val sbRes    = results.find(_._1 == "SB").get._2
-      val sbMs     = CostModel.videoMs(sbRes.stats)
-      val sbTracks = sbRes.tracked.map(_.as[TrackedRow].collect().toSeq)
+      val results = Setups.map(_._1).zip(VideoProcessor.runAll(
+        spark, ds.frames, ds.gtStates, ds.net, Setups.map { case (_, cfg) => q -> cfg }, ds.fps))
+      val sb   = results.find(_._1 == "SB").get._2
+      val sbMs = CostModel.videoMs(sb.stats)
 
       results.map { case (name, res) =>
         val ms = CostModel.videoMs(res.stats)
-        val assa = (sbTracks, res.tracked) match {
+        val assa = (sb.tracks, res.tracks) match {
           case (Some(gt), Some(pr)) if name != "SB" =>
             // Evaluation universe: SB tracks on frames this setup kept
             // after RVP (§7.2.2's exclusion).
-            val kept = res.keptFrames.as[(Long, Int)].collect().toSet
-            Metrics.assA(gt.filter(r => kept((r.sceneId, r.frameIdx))), pr.as[TrackedRow].collect().toSeq)
+            val kept = res.kept.toSet
+            Metrics.assA(gt.filter(r => kept((r.sceneId, r.frameIdx))), pr)
           case _ => 1.0
         }
         AblationRow(q.name, name,
@@ -63,5 +60,4 @@ object AblationExperiment {
                     assA = assa)
       }
     }
-  }
 }

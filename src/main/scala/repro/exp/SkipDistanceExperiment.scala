@@ -1,6 +1,7 @@
 package repro.exp
 
 import repro.core.{ExitFrameSampler, VideoProcessor}
+import repro.sflow.Analyzer
 import repro.track.{Metrics, SortTracker, TrackedRow}
 import repro.video.{CostModel, Estimators, SimDetector}
 import repro.world.{FrameRow, GtStateRow, RoadSegment}
@@ -44,8 +45,8 @@ object SkipDistanceExperiment {
                         lanes: Array[RoadSegment], inters: Array[RoadSegment],
                         fps: Double): Seq[SkipGap] = {
     val dets3d = frames
-      .flatMap(fr => states.getOrElse(fr.frameIdx, Nil).flatMap(SimDetector.detectOne(fr, _)))
-      .filter(d => d.otype == "car" || d.otype == "truck")
+      .flatMap(fr => SimDetector.detectFrame(fr, states.getOrElse(fr.frameIdx, Nil)))
+      .filter(d => Analyzer.VehicleTypes.contains(d.otype))
       .map(Estimators.geomOne(_))
     val byFrame = dets3d.groupBy(_.frameIdx)
     val sampled = ExitFrameSampler.sampleScene(frames, byFrame, lanes, inters, fps, MaxSkip)

@@ -53,11 +53,9 @@ object SystemsExperiment {
     */
   def otif(spark: SparkSession, ds: Dataset): OtifRow = {
     val o = OtifSim.run(ds.frames, ds.gtStates)
-    val fpsPerQuery = Seq(Queries.q1, Queries.q2, Queries.q3, Queries.q4).map { q =>
-      val stats = VideoProcessor.run(spark, ds.frames, ds.gtStates, ds.net, q,
-                                     PlanConfig.all, ds.fps).stats
-      CostModel.fps(stats)
-    }
+    val plans = Seq(Queries.q1, Queries.q2, Queries.q3, Queries.q4).map(_ -> PlanConfig.all)
+    val fpsPerQuery = VideoProcessor.runAll(spark, ds.frames, ds.gtStates, ds.net, plans, ds.fps)
+      .map(r => CostModel.fps(r.stats))
     OtifRow(o.fps, o.trainMs / 60000.0, fpsPerQuery.min, fpsPerQuery.max)
   }
 

@@ -62,4 +62,7 @@ object SimDetector {
       }
     }
   }
+
+  /** Detect the ground-truth states `states` of frame `fr`. */
+  def detectFrame(fr: FrameRow, states: Seq[GtStateRow]): Vector[DetRow] = states.flatMap(detectOne(fr, _)).toVector
 }

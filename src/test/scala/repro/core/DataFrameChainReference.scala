@@ -11,13 +11,17 @@ import repro.world.{FrameRow, RoadNetwork}
 /** Reference for `VideoProcessorEquivalenceSpec`: the video processor as a
   * chain of whole-DataFrame operators, one Spark stage per operator, with
   * every unit counted by its own action, and the facts the query engine
-  * reads derived by `WindowReference`. `VideoProcessor.run` must give the
-  * same statistics and rows.
+  * reads derived by `WindowReference`. `VideoProcessor.runAll` must give
+  * every plan the same statistics and rows.
   */
 object DataFrameChainReference {
 
+  /** The reference's output: `VideoProcessor`'s, as DataFrames. */
+  final case class Result(objs: DataFrame, tracked: Option[DataFrame], keptFrames: DataFrame,
+                          stats: RunStats)
+
   def run(spark: SparkSession, frames: DataFrame, gtStates: DataFrame, net: RoadNetwork,
-          query: Query, config: PlanConfig, fps: Double): ProcessResult = {
+          query: Query, config: PlanConfig, fps: Double): Result = {
     import spark.implicits._
     val req = query.requirements
 
@@ -100,6 +104,6 @@ object DataFrameChainReference {
       rvpApplied = rvpApplied, otpApplied = otpApplied,
       geomApplied = geomApplied, efsApplied = efsApplied)
 
-    ProcessResult(objs, tracked, kept.select("sceneId", "frameIdx"), stats)
+    Result(objs, tracked, kept.select("sceneId", "frameIdx"), stats)
   }
 }

@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
+import repro.sflow.Analyzer
 import repro.video.{Det3dRow, Estimators, SimDetector}
 import repro.world._
 
@@ -22,8 +23,8 @@ class ExitFrameSamplerSpec extends SparkSpec {
     val (ls, is, fps) = (lanes, inters, p.fps)
     VideoProcessor.byScene(frames, gt) { (sid, frs, states) =>
       val dets3d = frs
-        .flatMap(fr => states.getOrElse(fr.frameIdx, Nil).flatMap(SimDetector.detectOne(fr, _)))
-        .filter(d => d.otype == "car" || d.otype == "truck")
+        .flatMap(fr => SimDetector.detectFrame(fr, states.getOrElse(fr.frameIdx, Nil)))
+        .filter(d => Analyzer.VehicleTypes.contains(d.otype))
         .map(Estimators.geomOne(_))
       sid -> ExitFrameSampler.sampleScene(frs, dets3d.groupBy(_.frameIdx), ls, is, fps)
     }.collect().toVector.sortBy(_._1)

@@ -21,7 +21,7 @@ class VideoProcessorSpec extends SparkSpec {
     assert(!r.stats.rvpApplied && !r.stats.otpApplied && !r.stats.geomApplied && !r.stats.efsApplied)
     assert(r.stats.framesAfterRvp === r.stats.framesTotal)
     assert(r.stats.detsAfterOtp === r.stats.detections)
-    assert(r.stats.trackerRan && r.tracked.isDefined)
+    assert(r.stats.trackerRan && r.tracks.isDefined)
     assert(r.stats.depthFrames > 0, "baseline uses the ML depth path")
     assert(r.stats.geomDets === 0)
   }
@@ -44,7 +44,7 @@ class VideoProcessorSpec extends SparkSpec {
   test("detection-only queries (Q5-Q8) skip the tracker entirely (§5.2.2 operator pruning)") {
     Seq(Queries.q5, Queries.q7).foreach { q =>
       val r = run(q, PlanConfig.all)
-      assert(!r.stats.trackerRan && r.tracked.isEmpty, s"${q.name} must not track")
+      assert(!r.stats.trackerRan && r.tracks.isEmpty, s"${q.name} must not track")
       assert(r.stats.trackerFrames === 0L)
       assert(r.objs.columns.toSeq ===
              Seq("sceneId", "frameIdx", "oid", "otype", "x", "y", "heading", "turnleft", "stopped", "nFrame"))
@@ -98,10 +98,10 @@ class VideoProcessorSpec extends SparkSpec {
     assert(r.geomDets <= r.detsAfterOtp)
   }
 
-  test("a run costs at most 3 Spark jobs (SB and S6 on Q1 and Q2)") {
+  test("a run costs exactly 1 Spark job (SB and S6 on Q1 and Q2)") {
     for (q <- Seq(Queries.q1, Queries.q2); (name, cfg) <- Seq("SB" -> PlanConfig.baseline, "S6" -> PlanConfig.all)) {
       val jobs = sparkJobs(s"vp-jobs-${q.name}-$name")(run(q, cfg)).jobs
-      assert(jobs >= 1 && jobs <= 3, s"${q.name} $name ran $jobs Spark jobs")
+      assert(jobs === 1, s"${q.name} $name ran $jobs Spark jobs")
     }
   }
 

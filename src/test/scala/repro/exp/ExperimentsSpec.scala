@@ -70,13 +70,13 @@ class ExperimentsSpec extends SparkSpec {
     assert(added.isEmpty, s"persisted RDDs $added")
   }
 
-  test("the ablation over Q1 runs in at most 20 Spark jobs") {
+  test("the ablation over Q1 runs in 1 Spark job") {
     ds.frames.count(); ds.gtStates.count()
-    // Seven scene passes, SB's tracks, and each other setup's tracks and
-    // kept frames: the AssA scoring runs on the driver.
+    // One scene pass runs the seven setups; the AssA scoring runs on the
+    // driver, over what the pass left there.
     val work = sparkJobs("ablation-Q1")(AblationExperiment.run(spark, ds, queries = Seq(Queries.q1)))
     info(s"the ablation over Q1 ran $work")
-    assert(work.jobs <= 20, s"${work.jobs} Spark jobs")
+    assert(work.jobs === 1, s"${work.jobs} Spark jobs")
   }
 
   test("skip-distance study produces buckets with decreasing runtime ratio") {

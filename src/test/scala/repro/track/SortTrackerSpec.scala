@@ -89,13 +89,12 @@ class SortTrackerSpec extends SparkSpec {
   /** All detections of a 2-scene world, located by the geometry estimator
     * and tracked per scene in Spark by the video processor.
     */
-  private lazy val worldTracks: Array[TrackedRow] = {
-    import spark.implicits._
+  private lazy val worldTracks: Vector[TrackedRow] = {
     val p   = WorldParams.nuscenes(nScenes = 2)
     val cfg = PlanConfig(rvp = false, otp = false, geom3d = true, efs = false)
     VideoProcessor.run(spark, WorldGen.frames(spark, p), WorldGen.gtStates(spark, p),
                        RoadNetwork.grid(p.grid), Queries.q2, cfg, p.fps)
-      .tracked.get.as[TrackedRow].collect()
+      .tracks.get
   }
 
   test("Spark-side tracking partitions by scene") {
