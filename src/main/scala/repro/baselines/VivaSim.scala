@@ -32,7 +32,7 @@ object VivaSim {
 
     // VIVA: unoptimized plan, every object tracked, depth if camera moves.
     // Spatialyze: same ML prices + RVP/OTP/GE (EFS is inapplicable for
-    // car+pedestrian workflows, per the §6.4 rule). One pass runs both.
+    // car+pedestrian workflows, per the §6.4 rule).
     val Seq(vivaStats, spatStats) = VideoProcessor.runAll(spark, frames, gtStates, net,
       Seq(query -> PlanConfig.baseline, query -> PlanConfig.all), fps).map(_.stats)
     val vivaMs = CostModel.videoMs(vivaStats,

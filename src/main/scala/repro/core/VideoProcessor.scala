@@ -122,7 +122,8 @@ object VideoProcessor {
   private def scenePlan(net: RoadNetwork, query: Query, config: PlanConfig, fps: Double): ScenePlan = {
     val req   = query.requirements
     val flags = RunStats(0, 0, 0, 0, 0, 0, 0, 0, 0, trackerRan = req.needsTracking,
-      rvpApplied = config.rvp && req.rvpTargets.nonEmpty, otpApplied = config.otp && req.typesOfInterest.isDefined,
+      rvpApplied = config.rvp && req.rvpTargets.nonEmpty,
+      otpApplied = config.otp && req.typesOfInterest.isDefined,
       geomApplied = config.geom3d && req.geomApplicable, efsApplied = config.efs && req.efsApplicable)
     ScenePlan(
       rvpTargets = Option.when(flags.rvpApplied)(
